@@ -401,7 +401,8 @@ impl Accelerator for DnnWeaver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_baseline, run_shielded};
+    use crate::harness::{run_baseline, run_shielded_parallel};
+    use shef_core::shield::WorkerPool;
 
     #[test]
     fn lenet_shapes() {
@@ -418,7 +419,7 @@ mod tests {
         assert!(run_baseline(&mut d).unwrap().outputs_verified);
         let mut d = DnnWeaver::new(1, 5);
         assert!(
-            run_shielded(&mut d, &CryptoProfile::AES128_16X, 8)
+            run_shielded_parallel(&mut d, &CryptoProfile::AES128_16X, 8, &WorkerPool::new(1))
                 .unwrap()
                 .outputs_verified
         );
@@ -429,9 +430,21 @@ mod tests {
         // §6.2.4: swapping the weight-set HMAC for 4 PMAC engines lowers
         // the blocking-stall overhead.
         let mut hmac = DnnWeaver::new(2, 5);
-        let hmac_report = run_shielded(&mut hmac, &CryptoProfile::AES128_16X, 8).unwrap();
+        let hmac_report = run_shielded_parallel(
+            &mut hmac,
+            &CryptoProfile::AES128_16X,
+            8,
+            &WorkerPool::new(1),
+        )
+        .unwrap();
         let mut pmac = DnnWeaver::new(2, 5).with_pmac_weights();
-        let pmac_report = run_shielded(&mut pmac, &CryptoProfile::AES128_16X, 8).unwrap();
+        let pmac_report = run_shielded_parallel(
+            &mut pmac,
+            &CryptoProfile::AES128_16X,
+            8,
+            &WorkerPool::new(1),
+        )
+        .unwrap();
         assert!(
             pmac_report.cycles < hmac_report.cycles,
             "PMAC {} must beat HMAC {}",
@@ -452,10 +465,22 @@ mod tests {
         // feature map still computes the right answer, but pays tree
         // walks the on-chip counters avoid.
         let mut counters = DnnWeaver::new(1, 5);
-        let counters_report = run_shielded(&mut counters, &CryptoProfile::AES128_16X, 8).unwrap();
+        let counters_report = run_shielded_parallel(
+            &mut counters,
+            &CryptoProfile::AES128_16X,
+            8,
+            &WorkerPool::new(1),
+        )
+        .unwrap();
         assert!(counters_report.outputs_verified);
         let mut merkle = DnnWeaver::new(1, 5).with_merkle_fmap();
-        let merkle_report = run_shielded(&mut merkle, &CryptoProfile::AES128_16X, 8).unwrap();
+        let merkle_report = run_shielded_parallel(
+            &mut merkle,
+            &CryptoProfile::AES128_16X,
+            8,
+            &WorkerPool::new(1),
+        )
+        .unwrap();
         assert!(merkle_report.outputs_verified);
         assert!(
             merkle_report.cycles > counters_report.cycles,

@@ -6,7 +6,7 @@
 //! both are timed end to end (host DMA in → kernel → host DMA out) and
 //! the figure reports the ratio.
 
-use shef_core::shield::bus::{MemoryBus, ParallelShieldedBus, PlainBus, ShieldedBus, ACCEL_LANE};
+use shef_core::shield::bus::{MemoryBus, ParallelShieldedBus, PlainBus, ACCEL_LANE};
 use shef_core::shield::engine::AccessMode;
 use shef_core::shield::{
     client, DataEncryptionKey, EngineSetStats, RegisterInterface, ServiceConfig, ServiceRequest,
@@ -89,46 +89,15 @@ impl RunReport {
     }
 }
 
-/// Runs `accel` behind a Shield configured with `profile`.
+/// Runs `accel` behind a Shield configured with `profile`, its chunk
+/// crypto fanned across `pool`'s lanes (a one-lane pool runs it inline).
 ///
 /// The measured window covers: input DMA (ciphertext + tags), sealed
 /// register writes, the kernel, buffer flush, output DMA and
 /// verification-side decryption — matching the paper's end-to-end
 /// latencies. Attestation/boot is *not* included (the paper reports it
-/// separately in §6.1).
-///
-/// # Errors
-///
-/// Propagates configuration, integrity and bus errors.
-pub fn run_shielded(
-    accel: &mut dyn Accelerator,
-    profile: &CryptoProfile,
-    seed: u64,
-) -> Result<RunReport, ShefError> {
-    run_shielded_impl(accel, profile, seed, None, None)
-}
-
-/// [`run_shielded`], recording into a caller-supplied telemetry
-/// registry so several runs (e.g. a profile sweep) accumulate into one
-/// report. The per-run snapshot in [`RunReport::telemetry`] still
-/// reflects the shared registry at the end of this run.
-///
-/// # Errors
-///
-/// Propagates configuration, integrity and bus errors.
-pub fn run_shielded_with_telemetry(
-    accel: &mut dyn Accelerator,
-    profile: &CryptoProfile,
-    seed: u64,
-    telemetry: &Telemetry,
-) -> Result<RunReport, ShefError> {
-    run_shielded_impl(accel, profile, seed, None, Some(telemetry))
-}
-
-/// [`run_shielded`] over the parallel multi-lane datapath: the kernel's
-/// bursts are batched and their chunk crypto fanned across `pool`'s
-/// lanes. Outputs are bit-identical to [`run_shielded`]; only the cost
-/// model (and hence the modelled cycles) sees the lane fan-out.
+/// separately in §6.1). Outputs do not depend on the lane count; only
+/// the cost model (and hence the modelled cycles) sees the fan-out.
 ///
 /// # Errors
 ///
@@ -139,11 +108,13 @@ pub fn run_shielded_parallel(
     seed: u64,
     pool: &WorkerPool,
 ) -> Result<RunReport, ShefError> {
-    run_shielded_impl(accel, profile, seed, Some(pool), None)
+    run_shielded_impl(accel, profile, seed, pool, None)
 }
 
-/// [`run_shielded_parallel`] with a caller-supplied telemetry registry
-/// (see [`run_shielded_with_telemetry`]).
+/// [`run_shielded_parallel`], recording into a caller-supplied
+/// telemetry registry so several runs (e.g. a profile sweep) accumulate
+/// into one report. The per-run snapshot in [`RunReport::telemetry`]
+/// still reflects the shared registry at the end of this run.
 ///
 /// # Errors
 ///
@@ -155,14 +126,14 @@ pub fn run_shielded_parallel_with_telemetry(
     pool: &WorkerPool,
     telemetry: &Telemetry,
 ) -> Result<RunReport, ShefError> {
-    run_shielded_impl(accel, profile, seed, Some(pool), Some(telemetry))
+    run_shielded_impl(accel, profile, seed, pool, Some(telemetry))
 }
 
 fn run_shielded_impl(
     accel: &mut dyn Accelerator,
     profile: &CryptoProfile,
     seed: u64,
-    pool: Option<&WorkerPool>,
+    pool: &WorkerPool,
     telemetry: Option<&Telemetry>,
 ) -> Result<RunReport, ShefError> {
     let config = accel.shield_config(profile);
@@ -176,9 +147,7 @@ fn run_shielded_impl(
     // caller's when one was attached, the shield's private one otherwise
     // — so RunReport::telemetry always carries the full datapath.
     let run_telemetry = shield.telemetry().clone();
-    if let Some(pool) = pool {
-        pool.attach_telemetry(&run_telemetry);
-    }
+    pool.attach_telemetry(&run_telemetry);
     let dek = DataEncryptionKey::from_bytes(
         shef_crypto::drbg::HmacDrbg::from_seed(format!("harness.dek.{seed}").as_bytes())
             .generate_array::<32>(),
@@ -192,26 +161,72 @@ fn run_shielded_impl(
     let mut host = HostCpu::new();
     let mut ledger = CostLedger::new();
 
-    // Data Owner stages encrypted inputs; host DMAs ciphertext + tags.
+    stage_inputs(
+        accel,
+        &dek,
+        &mut shield,
+        &mut shell,
+        &mut dram,
+        &mut ledger,
+        &mut host,
+    )?;
+
+    // Kernel execution.
+    let mut bus = ParallelShieldedBus {
+        shield: &mut shield,
+        shell: &mut shell,
+        dram: &mut dram,
+        ledger: &mut ledger,
+        pool,
+    };
+    accel.run(&mut bus)?;
+    bus.flush()?;
+
+    let verified = verify_outputs(
+        accel,
+        &dek,
+        &mut shield,
+        &mut shell,
+        &mut dram,
+        &mut ledger,
+        &mut host,
+    )?;
+
+    let stats = shield.engine_stats();
+    let snapshot = shield.telemetry().report();
+    ledger.merge(dram.ledger());
+    Ok(RunReport::from_ledger(ledger, verified, stats, snapshot))
+}
+
+/// The Data Owner stages `accel`'s inputs: each input window is
+/// encrypted client-side and host-DMAed as ciphertext plus its chained
+/// tags, then the command registers are written sealed.
+fn stage_inputs(
+    accel: &dyn Accelerator,
+    dek: &DataEncryptionKey,
+    shield: &mut Shield,
+    shell: &mut Shell,
+    dram: &mut Dram,
+    ledger: &mut CostLedger,
+    host: &mut HostCpu,
+) -> Result<(), ShefError> {
     for input in accel.inputs() {
-        let (index, region) = find_region(&shield, &input.region)?;
+        let (index, region) = find_region(shield, &input.region)?;
         let chunk = region.engine_set.chunk_size as u64;
         debug_assert_eq!(input.offset % chunk, 0, "offsets must be chunk-aligned");
         let first_chunk = (input.offset / chunk) as u32;
-        let enc = client::encrypt_region_at(&dek, &region, first_chunk, &input.data, 0);
+        let enc = client::encrypt_region_at(dek, &region, first_chunk, &input.data, 0);
         host.dma_to_device(
-            &mut shell,
-            &mut dram,
-            &mut ledger,
+            shell,
+            dram,
+            ledger,
             region.range.start + input.offset,
             &enc.ciphertext,
         )?;
         let tag_base = shield.config().tag_base(index) + u64::from(first_chunk) * 16;
         // Tags ride the same DMA batch as the data (chained descriptor).
-        host.dma_to_device_chained(&mut shell, &mut dram, &mut ledger, tag_base, &enc.tags)?;
+        host.dma_to_device_chained(shell, dram, ledger, tag_base, &enc.tags)?;
     }
-
-    // Sealed register writes (commands / small data).
     let mut reg_key = dek.register_key();
     for (index, value) in accel.host_pre() {
         let sealed = RegisterInterface::client_seal_value(&mut reg_key, index, value)?;
@@ -219,54 +234,41 @@ fn run_shielded_impl(
         // One AXI-Lite crossing per 4-byte beat of the sealed packet.
         ledger.add_serial(Cycles(4 + sealed.to_bytes().len() as u64 / 4));
     }
+    Ok(())
+}
 
-    // Kernel execution.
-    if let Some(pool) = pool {
-        let mut bus = ParallelShieldedBus {
-            shield: &mut shield,
-            shell: &mut shell,
-            dram: &mut dram,
-            ledger: &mut ledger,
-            pool,
-        };
-        accel.run(&mut bus)?;
-        bus.flush()?;
-    } else {
-        let mut bus = ShieldedBus {
-            shield: &mut shield,
-            shell: &mut shell,
-            dram: &mut dram,
-            ledger: &mut ledger,
-        };
-        accel.run(&mut bus)?;
-        bus.flush()?;
-    }
-
-    // Output readback + verification.
+/// The Data Owner checks `accel`'s results: each output window and its
+/// chained tags are host-DMAed back, decrypted client-side and compared
+/// with the golden model, then `host_post` judges the opened result
+/// registers. Returns whether everything verified.
+fn verify_outputs(
+    accel: &dyn Accelerator,
+    dek: &DataEncryptionKey,
+    shield: &mut Shield,
+    shell: &mut Shell,
+    dram: &mut Dram,
+    ledger: &mut CostLedger,
+    host: &mut HostCpu,
+) -> Result<bool, ShefError> {
     let mut verified = true;
     for expected in accel.expected_outputs() {
-        let (index, region) = find_region(&shield, &expected.region)?;
+        let (index, region) = find_region(shield, &expected.region)?;
         let chunk = region.engine_set.chunk_size as u64;
         debug_assert_eq!(expected.offset % chunk, 0, "offsets must be chunk-aligned");
         let first_chunk = (expected.offset / chunk) as u32;
         let len = expected.data.len();
         let ct = host.dma_from_device(
-            &mut shell,
-            &mut dram,
-            &mut ledger,
+            shell,
+            dram,
+            ledger,
             region.range.start + expected.offset,
             len,
         )?;
         let tag_len = client::tag_bytes_for(len, region.engine_set.chunk_size);
-        let tags = host.dma_from_device_chained(
-            &mut shell,
-            &mut dram,
-            &mut ledger,
-            shield.config().tag_base(index) + u64::from(first_chunk) * 16,
-            tag_len,
-        )?;
+        let tag_base = shield.config().tag_base(index) + u64::from(first_chunk) * 16;
+        let tags = host.dma_from_device_chained(shell, dram, ledger, tag_base, tag_len)?;
         let plain = client::decrypt_region_at(
-            &dek,
+            dek,
             &region,
             first_chunk,
             &ct,
@@ -277,20 +279,15 @@ fn run_shielded_impl(
             verified = false;
         }
     }
-
-    // Result registers.
+    let reg_key = dek.register_key();
     let mut read_reg = |index: usize| -> Result<u64, ShefError> {
         let sealed = shield.host_reg_read(index)?;
-        RegisterInterface::client_open_value(&dek.register_key(), index, &sealed)
+        RegisterInterface::client_open_value(&reg_key, index, &sealed)
     };
     if !accel.host_post(&mut read_reg)? {
         verified = false;
     }
-
-    let stats = shield.engine_stats();
-    let snapshot = shield.telemetry().report();
-    ledger.merge(dram.ledger());
-    Ok(RunReport::from_ledger(ledger, verified, stats, snapshot))
+    Ok(verified)
 }
 
 /// Runs `accel` with no Shield: plaintext DMA and direct Shell/DRAM
@@ -374,7 +371,8 @@ pub fn run_baseline(accel: &mut dyn Accelerator) -> Result<RunReport, ShefError>
     ))
 }
 
-/// Measures the shielded/baseline ratio for one profile.
+/// Measures the shielded/baseline ratio for one profile, the shielded
+/// run fanning its chunk crypto across `lanes` worker lanes.
 ///
 /// # Errors
 ///
@@ -382,69 +380,38 @@ pub fn run_baseline(accel: &mut dyn Accelerator) -> Result<RunReport, ShefError>
 pub fn overhead(
     make_accel: &dyn Fn() -> Box<dyn Accelerator>,
     profile: &CryptoProfile,
-) -> Result<OverheadReport, ShefError> {
-    let mut base = make_accel();
-    let baseline = run_baseline(base.as_mut())?;
-    let mut shielded_accel = make_accel();
-    let shielded = run_shielded(shielded_accel.as_mut(), profile, 42)?;
-    Ok(OverheadReport {
-        baseline_cycles: baseline.cycles,
-        shielded_cycles: shielded.cycles,
-        normalized: shielded.cycles.0 as f64 / baseline.cycles.0.max(1) as f64,
-        baseline_verified: baseline.outputs_verified,
-        shielded_verified: shielded.outputs_verified,
-    })
-}
-
-/// Measures the shielded/baseline ratio for one profile over the
-/// parallel datapath with `lanes` worker lanes.
-///
-/// # Errors
-///
-/// Propagates run errors from either side.
-pub fn overhead_parallel(
-    make_accel: &dyn Fn() -> Box<dyn Accelerator>,
-    profile: &CryptoProfile,
     lanes: usize,
 ) -> Result<OverheadReport, ShefError> {
-    let mut base = make_accel();
-    let baseline = run_baseline(base.as_mut())?;
-    let pool = WorkerPool::new(lanes);
-    let mut shielded_accel = make_accel();
-    let shielded = run_shielded_parallel(shielded_accel.as_mut(), profile, 42, &pool)?;
-    Ok(OverheadReport {
-        baseline_cycles: baseline.cycles,
-        shielded_cycles: shielded.cycles,
-        normalized: shielded.cycles.0 as f64 / baseline.cycles.0.max(1) as f64,
-        baseline_verified: baseline.outputs_verified,
-        shielded_verified: shielded.outputs_verified,
-    })
+    overhead_impl(make_accel, profile, lanes, None)
 }
 
-/// [`overhead_parallel`] recording the shielded run into a
-/// caller-supplied telemetry registry, so a lane-scaling sweep can
-/// accumulate every configuration into one exported report.
+/// [`overhead`] recording the shielded run into a caller-supplied
+/// telemetry registry, so a lane-scaling sweep can accumulate every
+/// configuration into one exported report.
 ///
 /// # Errors
 ///
 /// Propagates run errors from either side.
-pub fn overhead_parallel_with_telemetry(
+pub fn overhead_with_telemetry(
     make_accel: &dyn Fn() -> Box<dyn Accelerator>,
     profile: &CryptoProfile,
     lanes: usize,
     telemetry: &Telemetry,
 ) -> Result<OverheadReport, ShefError> {
+    overhead_impl(make_accel, profile, lanes, Some(telemetry))
+}
+
+fn overhead_impl(
+    make_accel: &dyn Fn() -> Box<dyn Accelerator>,
+    profile: &CryptoProfile,
+    lanes: usize,
+    telemetry: Option<&Telemetry>,
+) -> Result<OverheadReport, ShefError> {
     let mut base = make_accel();
     let baseline = run_baseline(base.as_mut())?;
     let pool = WorkerPool::new(lanes);
     let mut shielded_accel = make_accel();
-    let shielded = run_shielded_parallel_with_telemetry(
-        shielded_accel.as_mut(),
-        profile,
-        42,
-        &pool,
-        telemetry,
-    )?;
+    let shielded = run_shielded_impl(shielded_accel.as_mut(), profile, 42, &pool, telemetry)?;
     Ok(OverheadReport {
         baseline_cycles: baseline.cycles,
         shielded_cycles: shielded.cycles,
@@ -595,7 +562,8 @@ impl MemoryBus for ServiceBus<'_> {
 
 /// Runs `tenants` instances of one workload through a
 /// [`ShieldService`], each tenant in its own key domain and address
-/// namespace. The measured window per tenant matches [`run_shielded`]:
+/// namespace. The measured window per tenant matches
+/// [`run_shielded_parallel`]:
 /// input DMA (ciphertext + tags), sealed register writes, the kernel
 /// (every burst crossing admission + shard dispatch), flush, output DMA
 /// and verification-side decryption. With one tenant and a one-shard
@@ -617,7 +585,7 @@ pub fn run_shielded_service(
 }
 
 /// [`run_shielded_service`] with a caller-supplied telemetry registry
-/// (see [`run_shielded_with_telemetry`]).
+/// (see [`run_shielded_parallel_with_telemetry`]).
 ///
 /// # Errors
 ///
@@ -678,30 +646,8 @@ fn run_shielded_service_impl(
         let grant = env.onboard(&name, master.tenant_key(&name).to_bytes())?;
         let id = service.register_tenant(&name, config, &grant)?;
         let dek = master.tenant_key(&name);
-        for input in accel.inputs() {
-            let (shield, shell, dram, ledger) = service.tenant_datapath(id);
-            let (index, region) = find_region(shield, &input.region)?;
-            let chunk = region.engine_set.chunk_size as u64;
-            debug_assert_eq!(input.offset % chunk, 0, "offsets must be chunk-aligned");
-            let first_chunk = (input.offset / chunk) as u32;
-            let enc = client::encrypt_region_at(&dek, &region, first_chunk, &input.data, 0);
-            host.dma_to_device(
-                shell,
-                dram,
-                ledger,
-                region.range.start + input.offset,
-                &enc.ciphertext,
-            )?;
-            let tag_base = shield.config().tag_base(index) + u64::from(first_chunk) * 16;
-            host.dma_to_device_chained(shell, dram, ledger, tag_base, &enc.tags)?;
-        }
-        let mut reg_key = dek.register_key();
-        for (index, value) in accel.host_pre() {
-            let sealed = RegisterInterface::client_seal_value(&mut reg_key, index, value)?;
-            let (shield, _, _, ledger) = service.tenant_datapath(id);
-            shield.host_reg_write(index, &sealed)?;
-            ledger.add_serial(Cycles(4 + sealed.to_bytes().len() as u64 / 4));
-        }
+        let (shield, shell, dram, ledger) = service.tenant_datapath(id);
+        stage_inputs(accel.as_ref(), &dek, shield, shell, dram, ledger, &mut host)?;
         ids.push(id);
         accels.push(accel);
     }
@@ -718,46 +664,19 @@ fn run_shielded_service_impl(
     }
 
     // Output readback + client-side verification per tenant.
-    let mut verified = vec![true; tenants];
+    let mut verified = Vec::with_capacity(tenants);
     for (i, (id, accel)) in ids.iter().zip(accels.iter()).enumerate() {
         let dek = master.tenant_key(&format!("tenant{i}"));
-        for expected in accel.expected_outputs() {
-            let (shield, shell, dram, ledger) = service.tenant_datapath(*id);
-            let (index, region) = find_region(shield, &expected.region)?;
-            let chunk = region.engine_set.chunk_size as u64;
-            debug_assert_eq!(expected.offset % chunk, 0, "offsets must be chunk-aligned");
-            let first_chunk = (expected.offset / chunk) as u32;
-            let len = expected.data.len();
-            let tag_base = shield.config().tag_base(index) + u64::from(first_chunk) * 16;
-            let ct = host.dma_from_device(
-                shell,
-                dram,
-                ledger,
-                region.range.start + expected.offset,
-                len,
-            )?;
-            let tag_len = client::tag_bytes_for(len, region.engine_set.chunk_size);
-            let tags = host.dma_from_device_chained(shell, dram, ledger, tag_base, tag_len)?;
-            let plain = client::decrypt_region_at(
-                &dek,
-                &region,
-                first_chunk,
-                &ct,
-                &tags,
-                &client::uniform_epochs(0),
-            )?;
-            if plain != expected.data {
-                verified[i] = false;
-            }
-        }
-        let reg_key = dek.register_key();
-        let mut read_reg = |index: usize| -> Result<u64, ShefError> {
-            let sealed = service.tenant_shield(*id).host_reg_read(index)?;
-            RegisterInterface::client_open_value(&reg_key, index, &sealed)
-        };
-        if !accel.host_post(&mut read_reg)? {
-            verified[i] = false;
-        }
+        let (shield, shell, dram, ledger) = service.tenant_datapath(*id);
+        verified.push(verify_outputs(
+            accel.as_ref(),
+            &dek,
+            shield,
+            shell,
+            dram,
+            ledger,
+            &mut host,
+        )?);
     }
 
     let mut tenant_reports = Vec::with_capacity(tenants);
@@ -820,7 +739,9 @@ mod tests {
         let baseline = run_baseline(&mut accel).unwrap();
         assert!(baseline.outputs_verified);
         let mut accel = VectorAdd::new(8 * 1024, 1);
-        let shielded = run_shielded(&mut accel, &CryptoProfile::AES128_16X, 7).unwrap();
+        let pool = WorkerPool::new(1);
+        let shielded =
+            run_shielded_parallel(&mut accel, &CryptoProfile::AES128_16X, 7, &pool).unwrap();
         assert!(shielded.outputs_verified);
         // Security costs something.
         assert!(shielded.cycles >= baseline.cycles);
@@ -829,14 +750,15 @@ mod tests {
     #[test]
     fn parallel_harness_verifies_and_never_slows_down() {
         let mut accel = VectorAdd::new(64 * 1024, 1);
-        let serial = run_shielded(&mut accel, &CryptoProfile::AES128_4X, 7).unwrap();
+        let one = WorkerPool::new(1);
+        let inline = run_shielded_parallel(&mut accel, &CryptoProfile::AES128_4X, 7, &one).unwrap();
         let mut accel = VectorAdd::new(64 * 1024, 1);
         let pool = WorkerPool::new(4);
         let parallel =
             run_shielded_parallel(&mut accel, &CryptoProfile::AES128_4X, 7, &pool).unwrap();
         assert!(parallel.outputs_verified);
         // Lane fan-out can only shrink the modelled bottleneck.
-        assert!(parallel.cycles <= serial.cycles);
+        assert!(parallel.cycles <= inline.cycles);
         // And the engine sets actually dispatched batch work.
         assert!(parallel
             .engine_stats
@@ -939,7 +861,7 @@ mod tests {
     #[test]
     fn overhead_reports_ratio() {
         let make = || Box::new(VectorAdd::new(8 * 1024, 1)) as Box<dyn Accelerator>;
-        let report = overhead(&make, &CryptoProfile::AES128_4X).unwrap();
+        let report = overhead(&make, &CryptoProfile::AES128_4X, 1).unwrap();
         assert!(report.normalized >= 1.0);
         assert!(report.baseline_verified && report.shielded_verified);
     }
@@ -947,8 +869,8 @@ mod tests {
     #[test]
     fn slower_profile_is_not_faster() {
         let make = || Box::new(VectorAdd::new(256 * 1024, 1)) as Box<dyn Accelerator>;
-        let fast = overhead(&make, &CryptoProfile::AES128_16X).unwrap();
-        let slow = overhead(&make, &CryptoProfile::AES256_4X).unwrap();
+        let fast = overhead(&make, &CryptoProfile::AES128_16X, 1).unwrap();
+        let slow = overhead(&make, &CryptoProfile::AES256_4X, 1).unwrap();
         assert!(slow.normalized >= fast.normalized);
     }
 }

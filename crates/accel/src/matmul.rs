@@ -150,7 +150,8 @@ impl Accelerator for MatMul {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_baseline, run_shielded};
+    use crate::harness::{run_baseline, run_shielded_parallel};
+    use shef_core::shield::WorkerPool;
 
     #[test]
     fn small_matmul_is_correct() {
@@ -158,7 +159,7 @@ mod tests {
         assert!(run_baseline(&mut m).unwrap().outputs_verified);
         let mut m = MatMul::new(32, 9);
         assert!(
-            run_shielded(&mut m, &CryptoProfile::AES128_4X, 2)
+            run_shielded_parallel(&mut m, &CryptoProfile::AES128_4X, 2, &WorkerPool::new(1))
                 .unwrap()
                 .outputs_verified
         );
@@ -182,7 +183,9 @@ mod tests {
         let mut m = MatMul::new(64, 3);
         let base = run_baseline(&mut m).unwrap();
         let mut m = MatMul::new(64, 3);
-        let shielded = run_shielded(&mut m, &CryptoProfile::AES128_4X, 2).unwrap();
+        let shielded =
+            run_shielded_parallel(&mut m, &CryptoProfile::AES128_4X, 2, &WorkerPool::new(1))
+                .unwrap();
         let ratio = shielded.cycles.0 as f64 / base.cycles.0 as f64;
         assert!(ratio < 2.0, "matmul overhead should be mild, got {ratio}");
     }

@@ -2,13 +2,15 @@
 //! (wall-clock) throughput of engine-set reads/writes under different
 //! configurations, plus the end-to-end vecadd harness.
 //!
-//! The `shield_read_parallel` group sweeps the multi-lane datapath.
+//! The `shield_read` and `replay_defence` groups run one lane (chunk
+//! crypto inline); the `shield_read_lanes` group sweeps the lane
+//! count.
 //! Lane counts default to 1,2,4,8; override with the `--lanes`-style
 //! env knob `SHEF_LANES=1,4 cargo bench -p shef-bench --bench
 //! shield_throughput` (the vendored criterion shim takes no CLI args).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use shef_accel::harness::{run_baseline, run_shielded};
+use shef_accel::harness::{run_baseline, run_shielded_parallel};
 use shef_accel::vecadd::VectorAdd;
 use shef_accel::CryptoProfile;
 use shef_core::shield::client;
@@ -57,6 +59,7 @@ fn bench_shield_reads(c: &mut Criterion) {
         ("c4096_gcm", 4096, MacAlgorithm::AesGcm),
     ] {
         let (mut shield, mut shell, mut dram, _) = shielded_setup(chunk, mac);
+        let pool = WorkerPool::new(1);
         group.throughput(Throughput::Bytes(1 << 20));
         group.bench_function(BenchmarkId::new("stream_1mb", name), |b| {
             b.iter(|| {
@@ -72,6 +75,7 @@ fn bench_shield_reads(c: &mut Criterion) {
                         0,
                         1 << 20,
                         AccessMode::Streaming,
+                        &pool,
                     )
                     .unwrap()
             })
@@ -93,7 +97,7 @@ fn lane_counts() -> Vec<usize> {
 }
 
 fn bench_shield_reads_parallel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("shield_read_parallel");
+    let mut group = c.benchmark_group("shield_read_lanes");
     group.sample_size(20);
     for lanes in lane_counts() {
         let (mut shield, mut shell, mut dram, _) = shielded_setup(4096, MacAlgorithm::HmacSha256);
@@ -103,7 +107,7 @@ fn bench_shield_reads_parallel(c: &mut Criterion) {
             b.iter(|| {
                 let mut ledger = CostLedger::new();
                 shield
-                    .read_parallel(
+                    .read(
                         &mut shell,
                         &mut dram,
                         &mut ledger,
@@ -131,7 +135,13 @@ fn bench_vecadd_end_to_end(c: &mut Criterion) {
     group.bench_function("shielded_256k_aes16x", |b| {
         b.iter(|| {
             let mut accel = VectorAdd::new(256 * 1024, 1);
-            run_shielded(&mut accel, &CryptoProfile::AES128_16X, 2).unwrap()
+            run_shielded_parallel(
+                &mut accel,
+                &CryptoProfile::AES128_16X,
+                2,
+                &WorkerPool::new(1),
+            )
+            .unwrap()
         })
     });
     group.finish();
@@ -179,6 +189,7 @@ fn bench_replay_defences(c: &mut Criterion) {
         let mut shell = Shell::new();
         let mut dram = Dram::new(1 << 30);
         let mut ledger = CostLedger::new();
+        let pool = WorkerPool::new(1);
         // Provision once with full-chunk writes.
         for start in (0..256 * 1024u64).step_by(512) {
             es.write(
@@ -188,10 +199,11 @@ fn bench_replay_defences(c: &mut Criterion) {
                 start,
                 &[0u8; 512],
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         }
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        es.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
         group.bench_function(BenchmarkId::new("rmw_64", name), |b| {
             let mut n = 0u64;
             b.iter(|| {
@@ -206,6 +218,7 @@ fn bench_replay_defences(c: &mut Criterion) {
                         addr,
                         64,
                         AccessMode::Streaming,
+                        &pool,
                     )
                     .unwrap();
                 es.write(
@@ -215,9 +228,10 @@ fn bench_replay_defences(c: &mut Criterion) {
                     addr,
                     &got,
                     AccessMode::Streaming,
+                    &pool,
                 )
                 .unwrap();
-                es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+                es.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
             })
         });
     }

@@ -57,15 +57,22 @@ fn chunk_size_sweep() {
 
 fn buffer_sweep() {
     use shef_accel::affine::AffineTransform;
-    use shef_accel::harness::run_shielded;
+    use shef_accel::harness::run_shielded_parallel;
     use shef_accel::CryptoProfile;
+    use shef_core::shield::WorkerPool;
 
     header("Ablation 2: on-chip buffer capacity (affine transform hit rate)");
     // The affine kernel's Shield uses 4 KB per input set by default; vary
     // it by monkey-patching the config through a custom accel is complex,
     // so report hits/misses at the default and rely on the engine stats.
     let mut accel = AffineTransform::new(256, 1);
-    let report = run_shielded(&mut accel, &CryptoProfile::AES128_16X, 5).unwrap();
+    let report = run_shielded_parallel(
+        &mut accel,
+        &CryptoProfile::AES128_16X,
+        5,
+        &WorkerPool::new(1),
+    )
+    .unwrap();
     assert!(report.outputs_verified);
     let (hits, misses): (u64, u64) = report
         .engine_stats
@@ -146,9 +153,9 @@ fn controlled_channel() {
 
 fn oram_over_shield() {
     use shef_core::oram::PathOram;
-    use shef_core::shield::bus::ShieldedBus;
+    use shef_core::shield::bus::ParallelShieldedBus;
     use shef_core::shield::{
-        AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, Shield, ShieldConfig,
+        AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, Shield, ShieldConfig, WorkerPool,
     };
     use shef_crypto::drbg::HmacDrbg;
     use shef_crypto::ecies::EciesKeyPair;
@@ -188,16 +195,18 @@ fn oram_over_shield() {
     let mut shell = Shell::new();
     let mut dram = Dram::f1_default();
     let mut ledger = CostLedger::new();
+    let pool = WorkerPool::new(1);
 
     // Provision the region (write-once pass), then measure.
     let region_len = shield.config().regions[0].range.len;
     {
         use shef_core::shield::bus::MemoryBus;
-        let mut bus = ShieldedBus {
+        let mut bus = ParallelShieldedBus {
             shield: &mut shield,
             shell: &mut shell,
             dram: &mut dram,
             ledger: &mut ledger,
+            pool: &pool,
         };
         bus.write(0, &vec![0u8; region_len as usize], AccessMode::Streaming)
             .expect("provision");
@@ -212,11 +221,12 @@ fn oram_over_shield() {
     let ids: Vec<u64> = (0..ACCESSES).map(|_| rng.next_u64() % N_BLOCKS).collect();
     {
         use shef_core::shield::bus::MemoryBus;
-        let mut bus = ShieldedBus {
+        let mut bus = ParallelShieldedBus {
             shield: &mut shield,
             shell: &mut shell,
             dram: &mut dram,
             ledger: &mut ledger,
+            pool: &pool,
         };
         for &id in &ids {
             let _ = bus
@@ -230,11 +240,12 @@ fn oram_over_shield() {
     let mut ledger_oram = CostLedger::new();
     dram.reset_accounting();
     {
-        let mut bus = ShieldedBus {
+        let mut bus = ParallelShieldedBus {
             shield: &mut shield,
             shell: &mut shell,
             dram: &mut dram,
             ledger: &mut ledger_oram,
+            pool: &pool,
         };
         let mut oram =
             PathOram::format(&mut bus, 0, N_BLOCKS, BLOCK, b"oram-ablation").expect("format");
@@ -268,7 +279,7 @@ fn oram_over_shield() {
 }
 
 fn lane_sweep() {
-    use shef_accel::harness::overhead_parallel;
+    use shef_accel::harness::overhead;
     use shef_accel::vecadd::VectorAdd;
     use shef_accel::{Accelerator, CryptoProfile};
 
@@ -280,7 +291,7 @@ fn lane_sweep() {
     let make = || Box::new(VectorAdd::new(256 * 1024, 1)) as Box<dyn Accelerator>;
     let mut prev: Option<u64> = None;
     for lanes in [1usize, 2, 4, 8] {
-        let report = overhead_parallel(&make, &CryptoProfile::AES128_4X, lanes).unwrap();
+        let report = overhead(&make, &CryptoProfile::AES128_4X, lanes).unwrap();
         assert!(
             report.shielded_verified,
             "lane sweep produced wrong outputs"

@@ -2,9 +2,10 @@
 //! given accelerator/profile, to diagnose what the bottleneck model is
 //! charging. Not part of the paper's tables.
 
-use shef_accel::harness::{run_baseline, run_shielded};
+use shef_accel::harness::{run_baseline, run_shielded_parallel};
 use shef_accel::sdp::{SdpEngineConfig, SdpStore};
 use shef_accel::CryptoProfile;
+use shef_core::shield::WorkerPool;
 
 fn dump(tag: &str, report: &shef_accel::harness::RunReport) {
     println!(
@@ -28,7 +29,13 @@ fn main() {
             let b = run_baseline(&mut accel).unwrap();
             dump("sdp baseline", &b);
             let mut accel = SdpStore::table2_workload(engines, 77);
-            let s = run_shielded(&mut accel, &CryptoProfile::AES128_16X, 42).unwrap();
+            let s = run_shielded_parallel(
+                &mut accel,
+                &CryptoProfile::AES128_16X,
+                42,
+                &WorkerPool::new(1),
+            )
+            .unwrap();
             dump("sdp 4xPMAC shielded", &s);
         }
         other => {

@@ -448,8 +448,10 @@ mod tests {
 
     #[test]
     fn works_over_a_shield() {
-        use crate::shield::bus::ShieldedBus;
-        use crate::shield::{DataEncryptionKey, EngineSetConfig, MemRange, Shield, ShieldConfig};
+        use crate::shield::bus::ParallelShieldedBus;
+        use crate::shield::{
+            DataEncryptionKey, EngineSetConfig, MemRange, Shield, ShieldConfig, WorkerPool,
+        };
         use shef_crypto::ecies::EciesKeyPair;
 
         let n_blocks = 16u64;
@@ -477,11 +479,13 @@ mod tests {
         let mut shell = Shell::new();
         let mut dram = Dram::f1_default();
         let mut ledger = CostLedger::new();
-        let mut bus = ShieldedBus {
+        let pool = WorkerPool::new(1);
+        let mut bus = ParallelShieldedBus {
             shield: &mut shield,
             shell: &mut shell,
             dram: &mut dram,
             ledger: &mut ledger,
+            pool: &pool,
         };
         let mut oram = PathOram::format(&mut bus, 0, n_blocks, block, b"shielded").unwrap();
         oram.write(&mut bus, 3, &[0xCC; 32]).unwrap();

@@ -3,8 +3,9 @@
 //! Accelerator models are written once against [`MemoryBus`] and run in
 //! two bindings:
 //!
-//! * [`ShieldedBus`] — traffic flows through the Shield's engine sets
-//!   (the secured configuration being evaluated);
+//! * [`ParallelShieldedBus`] — traffic flows through the Shield's engine
+//!   sets, their chunk crypto fanned across a worker pool (the secured
+//!   configuration being evaluated; a one-lane pool runs it inline);
 //! * [`PlainBus`] — traffic goes straight through the Shell to DRAM (the
 //!   paper's insecure baseline, the "1×" of every normalized figure).
 //!
@@ -60,50 +61,9 @@ pub trait MemoryBus {
 /// Lane name used for accelerator compute cycles.
 pub const ACCEL_LANE: &str = "accel";
 
-/// The shielded binding.
-pub struct ShieldedBus<'a> {
-    /// The Shield instance in the PR region.
-    pub shield: &'a mut Shield,
-    /// The CSP Shell.
-    pub shell: &'a mut Shell,
-    /// Device DRAM.
-    pub dram: &'a mut Dram,
-    /// Cost accounting for this kernel invocation.
-    pub ledger: &'a mut CostLedger,
-}
-
-impl MemoryBus for ShieldedBus<'_> {
-    fn read(&mut self, addr: u64, len: usize, mode: AccessMode) -> Result<Vec<u8>, ShefError> {
-        self.shield
-            .read(self.shell, self.dram, self.ledger, addr, len, mode)
-    }
-
-    fn write(&mut self, addr: u64, data: &[u8], mode: AccessMode) -> Result<(), ShefError> {
-        self.shield
-            .write(self.shell, self.dram, self.ledger, addr, data, mode)
-    }
-
-    fn flush(&mut self) -> Result<(), ShefError> {
-        self.shield.flush(self.shell, self.dram, self.ledger)
-    }
-
-    fn compute(&mut self, cycles: u64) {
-        self.ledger.add_busy(ACCEL_LANE, Cycles(cycles));
-    }
-
-    fn reg_read(&mut self, index: usize) -> u64 {
-        self.shield.registers().accel_read(index)
-    }
-
-    fn reg_write(&mut self, index: usize, value: u64) {
-        self.shield.registers().accel_write(index, value);
-    }
-}
-
-/// The shielded binding over the parallel multi-lane datapath: every
-/// burst is batched and its chunk crypto fanned across the pool's
-/// lanes. Bit-identical to [`ShieldedBus`] on the data plane; only the
-/// cost model sees the lane fan-out.
+/// The shielded binding: every burst is one engine-set batch whose
+/// chunk crypto is fanned across the pool's lanes. Lane count changes
+/// only the cost model, never the bytes.
 pub struct ParallelShieldedBus<'a> {
     /// The Shield instance in the PR region.
     pub shield: &'a mut Shield,
@@ -119,7 +79,7 @@ pub struct ParallelShieldedBus<'a> {
 
 impl MemoryBus for ParallelShieldedBus<'_> {
     fn read(&mut self, addr: u64, len: usize, mode: AccessMode) -> Result<Vec<u8>, ShefError> {
-        self.shield.read_parallel(
+        self.shield.read(
             self.shell,
             self.dram,
             self.ledger,
@@ -131,7 +91,7 @@ impl MemoryBus for ParallelShieldedBus<'_> {
     }
 
     fn write(&mut self, addr: u64, data: &[u8], mode: AccessMode) -> Result<(), ShefError> {
-        self.shield.write_parallel(
+        self.shield.write(
             self.shell,
             self.dram,
             self.ledger,
@@ -144,7 +104,7 @@ impl MemoryBus for ParallelShieldedBus<'_> {
 
     fn flush(&mut self) -> Result<(), ShefError> {
         self.shield
-            .flush_parallel(self.shell, self.dram, self.ledger, self.pool)
+            .flush(self.shell, self.dram, self.ledger, self.pool)
     }
 
     fn compute(&mut self, cycles: u64) {
@@ -211,6 +171,7 @@ impl MemoryBus for PlainBus<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shield::client;
     use crate::shield::config::{EngineSetConfig, MemRange, ShieldConfig};
     use crate::shield::keys::DataEncryptionKey;
     use shef_crypto::ecies::EciesKeyPair;
@@ -254,6 +215,8 @@ mod tests {
             )
             .build()
             .unwrap();
+        let region = config.regions[0].clone();
+        let tag_base = config.tag_base(0);
         let mut shield = Shield::new(config, EciesKeyPair::from_seed(b"bus")).unwrap();
         let dek = DataEncryptionKey::from_bytes([5u8; 32]);
         let lk = dek.to_load_key(&shield.public_key());
@@ -262,11 +225,13 @@ mod tests {
         let mut shell = Shell::new();
         let mut dram = Dram::f1_default();
         let mut ledger = CostLedger::new();
-        let mut bus = ShieldedBus {
+        let pool = WorkerPool::new(1);
+        let mut bus = ParallelShieldedBus {
             shield: &mut shield,
             shell: &mut shell,
             dram: &mut dram,
             ledger: &mut ledger,
+            pool: &pool,
         };
         bus.write(0, b"sensitive!", AccessMode::Streaming).unwrap();
         bus.flush().unwrap();
@@ -275,7 +240,16 @@ mod tests {
             b"sensitive!"
         );
         bus.compute(10);
-        // DRAM never sees the plaintext.
-        assert_ne!(dram.tamper_read(0, 10), b"sensitive!");
+        assert_eq!(ledger.lane(ACCEL_LANE), Cycles(10));
+        // DRAM never sees the plaintext...
+        let ct = dram.tamper_read(0, 512);
+        assert_ne!(&ct[..10], b"sensitive!");
+        // ...but the Data Owner opens the flushed chunk (written once,
+        // so sealed at counter epoch 1) without the Shield's help.
+        let tags = dram.tamper_read(tag_base, 16);
+        let opened =
+            client::decrypt_region(&dek, &region, &ct, &tags, &client::uniform_epochs(1)).unwrap();
+        assert_eq!(&opened[..10], b"sensitive!");
+        assert!(opened[10..].iter().all(|&b| b == 0), "zero-filled tail");
     }
 }

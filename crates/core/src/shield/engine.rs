@@ -20,8 +20,8 @@ use super::keys::DataEncryptionKey;
 use super::merkle::{MerkleStats, MerkleTree};
 use super::pool::WorkerPool;
 use super::timing::{
-    buffer_hit_cost, chunk_crypto_cost, parallel_batch_cost, ACCEL_PORT_READ_LANE,
-    ACCEL_PORT_WRITE_LANE, PORT_READ_LANE, PORT_WRITE_LANE, SHELL_PORT_BYTES_PER_CYCLE,
+    buffer_hit_cost, parallel_batch_cost, ACCEL_PORT_READ_LANE, ACCEL_PORT_WRITE_LANE,
+    PORT_READ_LANE, PORT_WRITE_LANE, SHELL_PORT_BYTES_PER_CYCLE,
 };
 use crate::ShefError;
 use shef_fpga::clock::Cycles;
@@ -55,7 +55,7 @@ pub struct EngineSetStats {
     pub bytes_written: u64,
     /// Zero-filled write allocations (streaming-write optimization).
     pub zero_fills: u64,
-    /// Batch operations dispatched through the parallel datapath.
+    /// Batch operations dispatched (one per read, write or flush).
     pub parallel_batches: u64,
     /// Chunk seal/open jobs issued by batch operations.
     pub parallel_jobs: u64,
@@ -65,7 +65,7 @@ pub struct EngineSetStats {
     /// high-water mark of the lane dispatcher).
     pub queue_depth_hwm: u64,
     /// Modelled crypto cycles summed over every batch job — what the
-    /// same work would occupy on one serial engine set.
+    /// same work would occupy on a one-lane engine set.
     pub lane_cycles_total: u64,
     /// Modelled crypto cycles of the busiest lane, accumulated batch by
     /// batch — the parallel makespan actually charged to the ledger.
@@ -86,8 +86,8 @@ pub struct EngineSetStats {
 }
 
 impl EngineSetStats {
-    /// Modelled speedup of the parallel datapath over a serial engine
-    /// set: serial-equivalent work divided by the accumulated makespan.
+    /// Modelled speedup of the lane fan-out over a one-lane engine set:
+    /// one-lane-equivalent work divided by the accumulated makespan.
     /// Clamped to 1.0 when no batch work has been dispatched (or the
     /// ratio is otherwise undefined) so callers can feed it straight
     /// into reports without NaN/inf guards.
@@ -436,14 +436,6 @@ impl EngineSet {
         }
     }
 
-    fn charge_crypto(&self, ledger: &mut CostLedger, len: usize, mode: AccessMode) {
-        let cost = chunk_crypto_cost(&self.region.engine_set, len);
-        match mode {
-            AccessMode::Streaming => ledger.add_busy(&self.lane, cost.lane),
-            AccessMode::Blocking => ledger.add_serial(cost.latency),
-        }
-    }
-
     fn touch_lru(&mut self, idx: u32) {
         if let Some(pos) = self.lru.iter().position(|&i| i == idx) {
             self.lru.remove(pos);
@@ -451,231 +443,15 @@ impl EngineSet {
         self.lru.push_back(idx);
     }
 
-    fn make_room(
-        &mut self,
-        shell: &mut Shell,
-        dram: &mut Dram,
-        ledger: &mut CostLedger,
-        mode: AccessMode,
-    ) -> Result<(), ShefError> {
-        while self.lines.len() >= self.capacity_lines {
-            let victim = self
-                .lru
-                .pop_front()
-                .expect("lines non-empty implies lru non-empty");
-            self.tele.evictions.inc();
-            self.writeback_line(shell, dram, ledger, victim, mode)?;
-            self.lines.remove(&victim);
-        }
-        Ok(())
-    }
-
-    fn writeback_line(
-        &mut self,
-        shell: &mut Shell,
-        dram: &mut Dram,
-        ledger: &mut CostLedger,
-        idx: u32,
-        mode: AccessMode,
-    ) -> Result<(), ShefError> {
-        let line = match self.lines.get(&idx) {
-            Some(l) if l.dirty => l.data.clone(),
-            _ => return Ok(()),
-        };
-        // Bump the epoch: every rewrite uses a fresh IV and tag.
-        let new_epoch = self.advance_epoch(shell, dram, ledger, idx, mode)?;
-        let (ciphertext, tag) = seal_chunk(
-            &self.key,
-            self.nonce,
-            &self.region.name,
-            idx,
-            new_epoch,
-            &line,
-        );
-        self.charge_crypto(ledger, line.len(), mode);
-        ledger.add_busy(
-            PORT_WRITE_LANE,
-            Cycles(((ciphertext.len() + tag.len()) as u64).div_ceil(SHELL_PORT_BYTES_PER_CYCLE)),
-        );
-        shell.mem_write(dram, self.chunk_addr(idx), &ciphertext)?;
-        shell.mem_write(dram, self.tag_addr(idx), &tag)?;
-        self.stats.writebacks += 1;
-        self.tele.writebacks.inc();
-        if let Some(l) = self.lines.get_mut(&idx) {
-            l.dirty = false;
-        }
-        Ok(())
-    }
-
-    /// Ensures chunk `idx` is resident; `zero_fill` skips the DRAM read
-    /// for full-overwrite writes.
-    fn ensure_line(
-        &mut self,
-        shell: &mut Shell,
-        dram: &mut Dram,
-        ledger: &mut CostLedger,
-        idx: u32,
-        mode: AccessMode,
-        zero_fill: bool,
-    ) -> Result<(), ShefError> {
-        if self.lines.contains_key(&idx) {
-            self.stats.hits += 1;
-            self.tele.hits.inc();
-            self.touch_lru(idx);
-            return Ok(());
-        }
-        self.make_room(shell, dram, ledger, mode)?;
-        let len = self.chunk_len(idx);
-        let line = if zero_fill {
-            self.stats.zero_fills += 1;
-            self.tele.zero_fills.inc();
-            Line {
-                data: vec![0u8; len],
-                dirty: false,
-            }
-        } else {
-            self.stats.misses += 1;
-            self.tele.misses.inc();
-            ledger.add_busy(
-                PORT_READ_LANE,
-                Cycles(((len + CHUNK_TAG_LEN) as u64).div_ceil(SHELL_PORT_BYTES_PER_CYCLE)),
-            );
-            let ciphertext = shell.mem_read(dram, self.chunk_addr(idx), len)?;
-            let tag_bytes = shell.mem_read(dram, self.tag_addr(idx), CHUNK_TAG_LEN)?;
-            let tag: [u8; CHUNK_TAG_LEN] = tag_bytes
-                .try_into()
-                .expect("tag read returns requested length");
-            let epoch = self.current_epoch(shell, dram, ledger, idx, mode)?;
-            self.charge_crypto(ledger, len, mode);
-            let plaintext = open_chunk(
-                &self.key,
-                self.nonce,
-                &self.region.name,
-                idx,
-                epoch,
-                &ciphertext,
-                &tag,
-            )
-            .inspect_err(|_| {
-                self.note_integrity_failure();
-            })?;
-            Line {
-                data: plaintext,
-                dirty: false,
-            }
-        };
-        self.lines.insert(idx, line);
-        self.touch_lru(idx);
-        Ok(())
-    }
-
-    /// Reads `len` plaintext bytes at `addr` (must lie in the region).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShefError::IntegrityViolation`] if any covered chunk
-    /// fails authentication.
-    pub fn read(
-        &mut self,
-        shell: &mut Shell,
-        dram: &mut Dram,
-        ledger: &mut CostLedger,
-        addr: u64,
-        len: usize,
-        mode: AccessMode,
-    ) -> Result<Vec<u8>, ShefError> {
-        debug_assert!(self.region.range.contains_span(addr, len));
-        self.check_operational()?;
-        let mut out = Vec::with_capacity(len);
-        let mut cur = addr;
-        let end = addr + len as u64;
-        while cur < end {
-            let idx = self.chunk_index(cur);
-            let chunk_start = self.chunk_addr(idx);
-            let offset = (cur - chunk_start) as usize;
-            let take = ((end - cur) as usize).min(self.chunk_len(idx) - offset);
-            self.ensure_line(shell, dram, ledger, idx, mode, false)?;
-            let line = &self.lines[&idx];
-            out.extend_from_slice(&line.data[offset..offset + take]);
-            ledger.add_busy(ACCEL_PORT_READ_LANE, buffer_hit_cost(take));
-            cur += take as u64;
-        }
-        self.stats.bytes_read += len as u64;
-        self.tele.bytes_read.add(len as u64);
-        Ok(out)
-    }
-
-    /// Writes plaintext bytes at `addr` (must lie in the region).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShefError::IntegrityViolation`] if a read-modify-write
-    /// fill fails authentication.
-    pub fn write(
-        &mut self,
-        shell: &mut Shell,
-        dram: &mut Dram,
-        ledger: &mut CostLedger,
-        addr: u64,
-        data: &[u8],
-        mode: AccessMode,
-    ) -> Result<(), ShefError> {
-        debug_assert!(self.region.range.contains_span(addr, data.len()));
-        self.check_operational()?;
-        let mut cur = addr;
-        let end = addr + data.len() as u64;
-        let mut src = 0usize;
-        while cur < end {
-            let idx = self.chunk_index(cur);
-            let chunk_start = self.chunk_addr(idx);
-            let offset = (cur - chunk_start) as usize;
-            let take = ((end - cur) as usize).min(self.chunk_len(idx) - offset);
-            let full_overwrite = offset == 0 && take == self.chunk_len(idx);
-            let zero_fill = !self.lines.contains_key(&idx)
-                && (full_overwrite || self.region.engine_set.zero_fill_writes);
-            self.ensure_line(shell, dram, ledger, idx, mode, zero_fill)?;
-            let line = self.lines.get_mut(&idx).expect("just ensured");
-            line.data[offset..offset + take].copy_from_slice(&data[src..src + take]);
-            line.dirty = true;
-            ledger.add_busy(ACCEL_PORT_WRITE_LANE, buffer_hit_cost(take));
-            cur += take as u64;
-            src += take;
-        }
-        self.stats.bytes_written += data.len() as u64;
-        self.tele.bytes_written.add(data.len() as u64);
-        Ok(())
-    }
-
-    /// Writes back all dirty lines and clears the buffer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DRAM errors from write-back traffic.
-    pub fn flush(
-        &mut self,
-        shell: &mut Shell,
-        dram: &mut Dram,
-        ledger: &mut CostLedger,
-    ) -> Result<(), ShefError> {
-        self.check_operational()?;
-        let indices: Vec<u32> = self.lru.iter().copied().collect();
-        for idx in indices {
-            self.writeback_line(shell, dram, ledger, idx, AccessMode::Streaming)?;
-        }
-        self.lines.clear();
-        self.lru.clear();
-        Ok(())
-    }
-
     // -----------------------------------------------------------------
-    // Parallel batch datapath (replicated engine sets, §5.2.2/§6).
+    // Batch datapath (replicated engine sets, §5.2.2/§6).
     //
-    // A batch operation walks its span exactly like the serial path —
-    // same hit/miss decisions, same LRU order, same epoch sequence —
-    // but instead of running each chunk's AES/MAC inline it *stages*
-    // the crypto and fans the whole batch across a [`WorkerPool`].
-    // Results merge in dispatch order, so the parallel path is
-    // bit-identical to the serial one on every success path.
+    // Every operation is one batch in three phases: a walk over its
+    // span (hit/miss decisions, LRU order, epoch sequence), chunk crypto
+    // staged during the walk and fanned across a [`WorkerPool`], and a
+    // landing loop that merges results in dispatch order. Lane count
+    // therefore never changes bytes, statistics or DRAM images; a
+    // one-lane pool runs the crypto inline on the caller thread.
     //
     // Two ordering hazards force a staged job to run inline ("materialize"):
     //  * Hazard A — a fill reads a chunk whose evicted predecessor's
@@ -691,8 +467,8 @@ impl EngineSet {
     // -----------------------------------------------------------------
 
     /// Stages a fill: reads ciphertext+tag, resolves the epoch, enqueues
-    /// the open, and parks a placeholder line so LRU bookkeeping matches
-    /// the serial walk. `dirty` pre-marks read-modify-write fills.
+    /// the open, and parks a placeholder line so LRU bookkeeping sees the
+    /// chunk as resident. `dirty` pre-marks read-modify-write fills.
     #[allow(clippy::too_many_arguments)]
     fn batch_stage_fill(
         &mut self,
@@ -740,8 +516,8 @@ impl EngineSet {
         Ok(())
     }
 
-    /// Batch-mode `make_room`: evicts like the serial path but defers
-    /// victim seals onto the plan.
+    /// Evicts LRU lines until one slot is free, deferring victim seals
+    /// onto the plan.
     fn batch_evict(
         &mut self,
         shell: &mut Shell,
@@ -932,8 +708,7 @@ impl EngineSet {
     ///
     /// Streaming cost lands on per-lane sub-lanes `{set}.l{k}` (the
     /// bottleneck model then sees the makespan, i.e. true overlap);
-    /// a single lane charges the set's base lane exactly like the serial
-    /// path. Blocking cost is the summed serial latency — lane count
+    /// a single lane charges the set's base lane. Blocking cost is the summed serial latency — lane count
     /// cannot hide a stalled accelerator.
     fn charge_crypto_batch(
         &mut self,
@@ -1041,7 +816,7 @@ impl EngineSet {
                 }
                 BatchJobResult::Opened { idx, plaintext } => match plaintext {
                     Ok(pt) => {
-                        // Past the first failure the serial walk would
+                        // Past the first failure an in-order walk would
                         // never have reached this chunk: skip the install.
                         if first_err.is_none() {
                             if install.contains(&idx) {
@@ -1094,15 +869,15 @@ impl EngineSet {
         Ok(opened)
     }
 
-    /// Parallel counterpart of [`EngineSet::read`]: same semantics and
-    /// DRAM end state, with chunk opens fanned across `pool`'s lanes.
+    /// Reads `len` plaintext bytes at `addr` (must lie in the region),
+    /// fanning chunk opens across `pool`'s lanes.
     ///
     /// # Errors
     ///
     /// Returns [`ShefError::IntegrityViolation`] for the earliest chunk
     /// in dispatch order that fails authentication.
     #[allow(clippy::too_many_arguments)]
-    pub fn read_chunks(
+    pub fn read(
         &mut self,
         shell: &mut Shell,
         dram: &mut Dram,
@@ -1173,15 +948,18 @@ impl EngineSet {
         Ok(out)
     }
 
-    /// Parallel counterpart of [`EngineSet::write`]: read-modify-write
-    /// fills and victim seals are fanned across `pool`'s lanes.
+    /// Writes plaintext bytes at `addr` (must lie in the region).
+    /// Read-modify-write fills and victim seals are fanned across
+    /// `pool`'s lanes; full-chunk overwrites (and every chunk, with
+    /// `zero_fill_writes`) allocate zero-filled lines without a DRAM
+    /// read.
     ///
     /// # Errors
     ///
     /// Returns [`ShefError::IntegrityViolation`] for the earliest chunk
     /// in dispatch order that fails authentication.
     #[allow(clippy::too_many_arguments)]
-    pub fn write_chunks(
+    pub fn write(
         &mut self,
         shell: &mut Shell,
         dram: &mut Dram,
@@ -1259,14 +1037,15 @@ impl EngineSet {
         Ok(())
     }
 
-    /// Parallel counterpart of [`EngineSet::flush`]: dirty-line seals are
-    /// fanned across `pool`'s lanes, write-backs land in LRU order.
+    /// Writes back all dirty lines and clears the buffer. Dirty-line
+    /// seals are fanned across `pool`'s lanes; write-backs land in LRU
+    /// order.
     ///
     /// # Errors
     ///
     /// Propagates DRAM and epoch errors from write-back traffic; the
-    /// buffer is left intact on error, exactly like the serial flush.
-    pub fn flush_parallel(
+    /// buffer is left intact on error.
+    pub fn flush(
         &mut self,
         shell: &mut Shell,
         dram: &mut Dram,
@@ -1372,8 +1151,9 @@ impl BatchPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shield::client;
     use crate::shield::config::{EngineSetConfig, MemRange};
-    use shef_fpga::clock::Cycles;
+    use crate::shield::timing::{chunk_crypto_cost, ChunkCost};
 
     fn setup(
         chunk: usize,
@@ -1474,7 +1254,7 @@ mod tests {
         let data: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
         provision(&es, &mut dram, &data);
         let got = es
-            .read_chunks(
+            .read(
                 &mut shell,
                 &mut dram,
                 &mut ledger,
@@ -1521,7 +1301,7 @@ mod tests {
             es.attach_telemetry(&t);
             let data: Vec<u8> = (0..8192u32).map(|i| (i * 13 % 256) as u8).collect();
             provision(&es, &mut dram, &data);
-            es.write_chunks(
+            es.write(
                 &mut shell,
                 &mut dram,
                 &mut ledger,
@@ -1531,8 +1311,7 @@ mod tests {
                 &pool,
             )
             .unwrap();
-            es.flush_parallel(&mut shell, &mut dram, &mut ledger, &pool)
-                .unwrap();
+            es.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
             t.report().to_json()
         };
         assert_eq!(run(), run());
@@ -1540,6 +1319,7 @@ mod tests {
 
     #[test]
     fn read_provisioned_data() {
+        let pool = WorkerPool::new(1);
         let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 2048, false, false);
         let data: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
         provision(&es, &mut dram, &data);
@@ -1551,6 +1331,7 @@ mod tests {
                 0x1000,
                 8192,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         assert_eq!(got, data);
@@ -1559,6 +1340,7 @@ mod tests {
 
     #[test]
     fn unaligned_reads() {
+        let pool = WorkerPool::new(1);
         let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 2048, false, false);
         let data: Vec<u8> = (0..8192u32).map(|i| (i * 7 % 256) as u8).collect();
         provision(&es, &mut dram, &data);
@@ -1570,6 +1352,7 @@ mod tests {
                 0x1000 + 300,
                 700,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         assert_eq!(got, &data[300..1000]);
@@ -1577,6 +1360,7 @@ mod tests {
 
     #[test]
     fn write_then_read_back_through_dram() {
+        let pool = WorkerPool::new(1);
         let (mut es, mut shell, mut dram, mut ledger, dek) = setup(512, 1024, false, true);
         let payload: Vec<u8> = (0..2048u32).map(|i| (i % 199) as u8).collect();
         es.write(
@@ -1586,9 +1370,10 @@ mod tests {
             0x1000,
             &payload,
             AccessMode::Streaming,
+            &pool,
         )
         .unwrap();
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        es.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
         // A brand-new engine set (fresh cache) must read the same bytes.
         let region = es.region().clone();
         let mut es2 = EngineSet::new(region, 0, 0x10_0000, 0x20_0000, &dek);
@@ -1600,6 +1385,7 @@ mod tests {
                 0x1000,
                 2048,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         assert_eq!(got, payload);
@@ -1609,6 +1395,7 @@ mod tests {
 
     #[test]
     fn buffer_hits_avoid_dram() {
+        let pool = WorkerPool::new(1);
         let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 2048, false, false);
         let data = vec![0x5au8; 8192];
         provision(&es, &mut dram, &data);
@@ -1620,6 +1407,7 @@ mod tests {
                 0x1000,
                 512,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         let before = dram.stats().bytes_read;
@@ -1632,6 +1420,7 @@ mod tests {
                 0x1000 + 128,
                 256,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         assert_eq!(dram.stats().bytes_read, before);
@@ -1640,6 +1429,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_works() {
+        let pool = WorkerPool::new(1);
         // Buffer holds 2 lines; touching 3 chunks evicts the oldest.
         let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 1024, false, false);
         let data = vec![1u8; 8192];
@@ -1653,6 +1443,7 @@ mod tests {
                     0x1000 + i * 512,
                     512,
                     AccessMode::Streaming,
+                    &pool,
                 )
                 .unwrap();
         }
@@ -1666,6 +1457,7 @@ mod tests {
                 0x1000,
                 512,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         assert_eq!(es.stats().misses, misses + 1);
@@ -1673,6 +1465,7 @@ mod tests {
 
     #[test]
     fn spoofed_dram_detected() {
+        let pool = WorkerPool::new(1);
         let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 1024, false, false);
         provision(&es, &mut dram, &vec![7u8; 8192]);
         // Adversary flips a ciphertext bit.
@@ -1687,6 +1480,7 @@ mod tests {
                 0x1000,
                 512,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap_err();
         assert!(matches!(err, ShefError::IntegrityViolation(_)));
@@ -1695,6 +1489,7 @@ mod tests {
 
     #[test]
     fn spliced_chunks_detected() {
+        let pool = WorkerPool::new(1);
         let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 1024, false, false);
         provision(&es, &mut dram, &vec![9u8; 8192]);
         // Copy chunk 0's ciphertext+tag over chunk 1's.
@@ -1710,6 +1505,7 @@ mod tests {
                 0x1000 + 512,
                 512,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap_err();
         assert!(matches!(err, ShefError::IntegrityViolation(_)));
@@ -1717,6 +1513,7 @@ mod tests {
 
     #[test]
     fn replay_detected_with_counters() {
+        let pool = WorkerPool::new(1);
         let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 512, true, false);
         provision(&es, &mut dram, &vec![1u8; 8192]);
         // Snapshot epoch-0 ciphertext+tag of chunk 0.
@@ -1730,9 +1527,10 @@ mod tests {
             0x1000,
             &[2u8; 512],
             AccessMode::Streaming,
+            &pool,
         )
         .unwrap();
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        es.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
         // Fresh data verifies.
         let got = es
             .read(
@@ -1742,10 +1540,11 @@ mod tests {
                 0x1000,
                 512,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         assert_eq!(got, vec![2u8; 512]);
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        es.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
         // Adversary replays the old snapshot: must be detected.
         dram.tamper_write(0x1000, &old_ct);
         dram.tamper_write(0x10_0000, &old_tag);
@@ -1757,6 +1556,7 @@ mod tests {
                 0x1000,
                 512,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap_err();
         assert!(matches!(err, ShefError::IntegrityViolation(_)));
@@ -1764,6 +1564,7 @@ mod tests {
 
     #[test]
     fn replay_not_detected_without_counters() {
+        let pool = WorkerPool::new(1);
         // Documents the paper's point: read-write regions need counters.
         let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 512, false, false);
         provision(&es, &mut dram, &vec![1u8; 8192]);
@@ -1776,9 +1577,10 @@ mod tests {
             0x1000,
             &[2u8; 512],
             AccessMode::Streaming,
+            &pool,
         )
         .unwrap();
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        es.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
         dram.tamper_write(0x1000, &old_ct);
         dram.tamper_write(0x10_0000, &old_tag);
         // The stale data verifies — replay goes unnoticed.
@@ -1790,6 +1592,7 @@ mod tests {
                 0x1000,
                 512,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         assert_eq!(got, vec![1u8; 512]);
@@ -1797,6 +1600,7 @@ mod tests {
 
     #[test]
     fn merkle_write_read_round_trip() {
+        let pool = WorkerPool::new(1);
         let (mut es, mut shell, mut dram, mut ledger, _) = setup_merkle(512, 1024, 0);
         let payload: Vec<u8> = (0..2048u32).map(|i| (i % 197) as u8).collect();
         es.write(
@@ -1806,9 +1610,10 @@ mod tests {
             0x1000,
             &payload,
             AccessMode::Streaming,
+            &pool,
         )
         .unwrap();
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        es.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
         let got = es
             .read(
                 &mut shell,
@@ -1817,6 +1622,7 @@ mod tests {
                 0x1000,
                 2048,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         assert_eq!(got, payload);
@@ -1826,6 +1632,7 @@ mod tests {
 
     #[test]
     fn merkle_detects_replay() {
+        let pool = WorkerPool::new(1);
         // Same scenario as `replay_detected_with_counters`, but the
         // counters live in DRAM under the tree.
         let (mut es, mut shell, mut dram, mut ledger, _) = setup_merkle(512, 512, 0);
@@ -1839,9 +1646,10 @@ mod tests {
             0x1000,
             &[2u8; 512],
             AccessMode::Streaming,
+            &pool,
         )
         .unwrap();
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        es.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
         dram.tamper_write(0x1000, &old_ct);
         dram.tamper_write(0x10_0000, &old_tag);
         let err = es
@@ -1852,6 +1660,7 @@ mod tests {
                 0x1000,
                 512,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap_err();
         assert!(matches!(err, ShefError::IntegrityViolation(_)));
@@ -1859,6 +1668,7 @@ mod tests {
 
     #[test]
     fn merkle_detects_tree_rollback() {
+        let pool = WorkerPool::new(1);
         // The stronger attack: roll back data, tag, AND the DRAM-resident
         // counter tree together. Only the on-chip root defeats this.
         let (mut es, mut shell, mut dram, mut ledger, _) = setup_merkle(512, 512, 0);
@@ -1872,9 +1682,10 @@ mod tests {
                 0x1000,
                 512,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        es.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
         let snap_data = dram.tamper_read(0x1000, 512);
         let snap_tag = dram.tamper_read(0x10_0000, 16);
         let snap_tree = dram.tamper_read(0x20_0000, 4096);
@@ -1885,9 +1696,10 @@ mod tests {
             0x1000,
             &[9u8; 512],
             AccessMode::Streaming,
+            &pool,
         )
         .unwrap();
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        es.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
         dram.tamper_write(0x1000, &snap_data);
         dram.tamper_write(0x10_0000, &snap_tag);
         dram.tamper_write(0x20_0000, &snap_tree);
@@ -1899,6 +1711,7 @@ mod tests {
                 0x1000,
                 512,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap_err();
         assert!(matches!(err, ShefError::IntegrityViolation(_)));
@@ -1907,6 +1720,7 @@ mod tests {
 
     #[test]
     fn merkle_costs_exceed_onchip_counters() {
+        let pool = WorkerPool::new(1);
         // The paper's argument (§5.2.2): tree-node DRAM traffic makes the
         // BMT strictly more expensive than on-chip counters.
         let run = |mut es: EngineSet, mut shell: Shell, mut dram: Dram| {
@@ -1920,10 +1734,11 @@ mod tests {
                         0x1000 + i * 512,
                         &[round; 512],
                         AccessMode::Streaming,
+                        &pool,
                     )
                     .unwrap();
                 }
-                es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+                es.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
             }
             ledger.lane(es.lane())
         };
@@ -1939,6 +1754,7 @@ mod tests {
 
     #[test]
     fn zero_fill_skips_dram_reads() {
+        let pool = WorkerPool::new(1);
         let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 1024, false, true);
         // Partial write to an unprovisioned chunk with zero_fill: no read.
         es.write(
@@ -1948,11 +1764,12 @@ mod tests {
             0x1000,
             &[9u8; 100],
             AccessMode::Streaming,
+            &pool,
         )
         .unwrap();
         assert_eq!(dram.stats().bytes_read, 0);
         assert_eq!(es.stats().zero_fills, 1);
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        es.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
         // Readback sees the write plus zeros.
         let got = es
             .read(
@@ -1962,6 +1779,7 @@ mod tests {
                 0x1000,
                 512,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         assert_eq!(&got[..100], &[9u8; 100]);
@@ -1970,6 +1788,7 @@ mod tests {
 
     #[test]
     fn blocking_mode_charges_serial_cycles() {
+        let pool = WorkerPool::new(1);
         let (mut es, mut shell, mut dram, mut ledger, _) = setup(4096, 4096, false, false);
         provision(&es, &mut dram, &vec![3u8; 8192]);
         let serial_before = ledger.serial();
@@ -1981,6 +1800,7 @@ mod tests {
                 0x1000,
                 4096,
                 AccessMode::Blocking,
+                &pool,
             )
             .unwrap();
         assert!(
@@ -1991,6 +1811,7 @@ mod tests {
 
     #[test]
     fn streaming_mode_charges_lane_cycles() {
+        let pool = WorkerPool::new(1);
         let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 512, false, false);
         provision(&es, &mut dram, &vec![3u8; 8192]);
         let _ = es
@@ -2001,13 +1822,14 @@ mod tests {
                 0x1000,
                 512,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         assert!(ledger.lane(es.lane()) > Cycles::ZERO);
     }
 
-    /// Serial-comparable slice of the stats (the parallel-only counters
-    /// exist only on the batch path, so they are excluded).
+    /// Functional slice of the stats: everything except the lane-count
+    /// observability counters, which legitimately differ.
     fn core_stats(s: EngineSetStats) -> (u64, u64, u64, u64, u64, u64, u64) {
         (
             s.hits,
@@ -2020,48 +1842,124 @@ mod tests {
         )
     }
 
+    /// One engine set with its own Shell, DRAM, ledger and worker pool,
+    /// so the same operations can be replayed at several lane counts.
+    /// The `*_matches_serial` tests compare against a one-lane pool,
+    /// which runs every crypto job inline (serially) on the caller.
+    struct Rig {
+        es: EngineSet,
+        shell: Shell,
+        dram: Dram,
+        ledger: CostLedger,
+        pool: WorkerPool,
+    }
+
+    impl Rig {
+        fn new(
+            lanes: usize,
+            (mut es, shell, mut dram, ledger, _): (
+                EngineSet,
+                Shell,
+                Dram,
+                CostLedger,
+                DataEncryptionKey,
+            ),
+            data: &[u8],
+        ) -> Self {
+            if !data.is_empty() {
+                provision(&es, &mut dram, data);
+            }
+            es.attach_telemetry(&Telemetry::new());
+            Rig {
+                es,
+                shell,
+                dram,
+                ledger,
+                pool: WorkerPool::new(lanes),
+            }
+        }
+
+        fn read(&mut self, addr: u64, len: usize, mode: AccessMode) -> Vec<u8> {
+            self.es
+                .read(
+                    &mut self.shell,
+                    &mut self.dram,
+                    &mut self.ledger,
+                    addr,
+                    len,
+                    mode,
+                    &self.pool,
+                )
+                .unwrap()
+        }
+
+        fn write(&mut self, addr: u64, data: &[u8]) {
+            self.es
+                .write(
+                    &mut self.shell,
+                    &mut self.dram,
+                    &mut self.ledger,
+                    addr,
+                    data,
+                    AccessMode::Streaming,
+                    &self.pool,
+                )
+                .unwrap();
+        }
+
+        fn flush(&mut self) {
+            self.es
+                .flush(
+                    &mut self.shell,
+                    &mut self.dram,
+                    &mut self.ledger,
+                    &self.pool,
+                )
+                .unwrap();
+        }
+
+        /// The sealed region image: ciphertext plus tag arena.
+        fn image(&self) -> (Vec<u8>, Vec<u8>) {
+            (
+                self.dram.tamper_read(0x1000, 8192),
+                self.dram.tamper_read(0x10_0000, 16 * CHUNK_TAG_LEN),
+            )
+        }
+    }
+
+    /// Modelled crypto cycles of `jobs` full-chunk seal/open jobs on one
+    /// lane, straight from the timing model.
+    fn crypto_cycles(es: &EngineSet, jobs: u64) -> ChunkCost {
+        let one = chunk_crypto_cost(&es.region().engine_set, es.chunk_size());
+        ChunkCost {
+            lane: Cycles(one.lane.0 * jobs),
+            latency: Cycles(one.latency.0 * jobs),
+        }
+    }
+
     #[test]
     fn parallel_read_matches_serial() {
         let data: Vec<u8> = (0..8192u32).map(|i| (i * 13 % 256) as u8).collect();
-        let (mut es_s, mut shell_s, mut dram_s, mut ledger_s, _) = setup(512, 2048, true, false);
-        let (mut es_p, mut shell_p, mut dram_p, mut ledger_p, _) = setup(512, 2048, true, false);
-        provision(&es_s, &mut dram_s, &data);
-        provision(&es_p, &mut dram_p, &data);
-        let pool = WorkerPool::new(4);
+        let mut one = Rig::new(1, setup(512, 2048, true, false), &data);
+        let mut four = Rig::new(4, setup(512, 2048, true, false), &data);
         for (addr, len) in [(0x1000u64, 8192usize), (0x1000 + 300, 700), (0x1000, 512)] {
-            let serial = es_s
-                .read(
-                    &mut shell_s,
-                    &mut dram_s,
-                    &mut ledger_s,
-                    addr,
-                    len,
-                    AccessMode::Streaming,
-                )
-                .unwrap();
-            let parallel = es_p
-                .read_chunks(
-                    &mut shell_p,
-                    &mut dram_p,
-                    &mut ledger_p,
-                    addr,
-                    len,
-                    AccessMode::Streaming,
-                    &pool,
-                )
-                .unwrap();
-            assert_eq!(serial, parallel);
+            let got = one.read(addr, len, AccessMode::Streaming);
+            let off = (addr - 0x1000) as usize;
+            assert_eq!(got, &data[off..off + len], "plaintext shadow");
+            assert_eq!(four.read(addr, len, AccessMode::Streaming), got);
         }
-        assert_eq!(core_stats(es_s.stats()), core_stats(es_p.stats()));
-        // Total crypto work is conserved: the sub-lanes sum to the
-        // serial lane's cycles.
-        assert_eq!(
-            ledger_p.group_total(es_p.lane()),
-            ledger_s.lane(es_s.lane())
-        );
+        assert_eq!(core_stats(one.es.stats()), core_stats(four.es.stats()));
+        // One lane charges every open to the set's lane at exactly the
+        // timing model's per-chunk cost.
+        let lane = one.es.lane().to_owned();
+        let opens = one.es.stats().misses;
+        assert_eq!(one.ledger.lane(&lane), crypto_cycles(&one.es, opens).lane);
+        // Total crypto work is conserved across the sub-lanes...
+        assert_eq!(four.ledger.group_total(&lane), one.ledger.lane(&lane));
         // ...but the makespan (busiest sub-lane) is strictly smaller.
-        assert!(ledger_p.group_makespan(es_p.lane()) < ledger_s.lane(es_s.lane()));
-        assert!(es_p.stats().parallel_speedup() > 1.0);
+        assert!(four.ledger.group_makespan(&lane) < one.ledger.lane(&lane));
+        assert!(four.es.stats().parallel_speedup() > 1.0);
+        assert_eq!(one.es.stats().parallel_speedup(), 1.0);
     }
 
     #[test]
@@ -2069,72 +1967,24 @@ mod tests {
         // Mix of zero-fill full overwrites and read-modify-write fills,
         // with evictions (buffer holds 2 of 16 chunks).
         let data: Vec<u8> = (0..8192u32).map(|i| (i * 31 % 256) as u8).collect();
-        let (mut es_s, mut shell_s, mut dram_s, mut ledger_s, _) = setup(512, 1024, true, false);
-        let (mut es_p, mut shell_p, mut dram_p, mut ledger_p, _) = setup(512, 1024, true, false);
-        provision(&es_s, &mut dram_s, &data);
-        provision(&es_p, &mut dram_p, &data);
-        let pool = WorkerPool::new(4);
         let payload: Vec<u8> = (0..3000u32).map(|i| (i * 7 % 256) as u8).collect();
-        // Unaligned span: head and tail chunks are RMW, middle chunks
-        // are full overwrites.
-        es_s.write(
-            &mut shell_s,
-            &mut dram_s,
-            &mut ledger_s,
-            0x1000 + 200,
-            &payload,
-            AccessMode::Streaming,
-        )
-        .unwrap();
-        es_p.write_chunks(
-            &mut shell_p,
-            &mut dram_p,
-            &mut ledger_p,
-            0x1000 + 200,
-            &payload,
-            AccessMode::Streaming,
-            &pool,
-        )
-        .unwrap();
-        es_s.flush(&mut shell_s, &mut dram_s, &mut ledger_s)
-            .unwrap();
-        es_p.flush_parallel(&mut shell_p, &mut dram_p, &mut ledger_p, &pool)
-            .unwrap();
-        assert_eq!(core_stats(es_s.stats()), core_stats(es_p.stats()));
+        let mut shadow = data.clone();
+        shadow[200..3200].copy_from_slice(&payload);
+        let mut one = Rig::new(1, setup(512, 1024, true, false), &data);
+        let mut four = Rig::new(4, setup(512, 1024, true, false), &data);
+        for rig in [&mut one, &mut four] {
+            // Unaligned span: head and tail chunks are RMW, middle
+            // chunks are full overwrites.
+            rig.write(0x1000 + 200, &payload);
+            rig.flush();
+        }
+        assert_eq!(core_stats(one.es.stats()), core_stats(four.es.stats()));
         // Identical keys + identical epoch sequences mean the DRAM end
         // state (ciphertext and tag arena) must match byte for byte.
-        assert_eq!(
-            dram_s.tamper_read(0x1000, 8192),
-            dram_p.tamper_read(0x1000, 8192)
-        );
-        assert_eq!(
-            dram_s.tamper_read(0x10_0000, 16 * CHUNK_TAG_LEN),
-            dram_p.tamper_read(0x10_0000, 16 * CHUNK_TAG_LEN)
-        );
-        // And both live sets decrypt back to the same plaintext.
-        let got_s = es_s
-            .read(
-                &mut shell_s,
-                &mut dram_s,
-                &mut ledger_s,
-                0x1000,
-                8192,
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        let got_p = es_p
-            .read_chunks(
-                &mut shell_p,
-                &mut dram_p,
-                &mut ledger_p,
-                0x1000,
-                8192,
-                AccessMode::Streaming,
-                &pool,
-            )
-            .unwrap();
-        assert_eq!(got_s, got_p);
-        assert_eq!(&got_p[200..3200], &payload[..]);
+        assert_eq!(one.image(), four.image());
+        for rig in [&mut one, &mut four] {
+            assert_eq!(rig.read(0x1000, 8192, AccessMode::Streaming), shadow);
+        }
     }
 
     #[test]
@@ -2145,6 +1995,7 @@ mod tests {
         let data: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
         let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 512, true, false);
         provision(&es, &mut dram, &data);
+        let pool = WorkerPool::new(4);
         es.write(
             &mut shell,
             &mut dram,
@@ -2152,11 +2003,11 @@ mod tests {
             0x1200,
             &[0xAB; 512],
             AccessMode::Streaming,
+            &pool,
         )
         .unwrap();
-        let pool = WorkerPool::new(4);
         let got = es
-            .read_chunks(
+            .read(
                 &mut shell,
                 &mut dram,
                 &mut ledger,
@@ -2177,59 +2028,52 @@ mod tests {
         // chunks evicts chunk 0's read-modify-write placeholder while its
         // fill is still staged.
         let data: Vec<u8> = (0..8192u32).map(|i| (i * 3 % 256) as u8).collect();
-        let (mut es_s, mut shell_s, mut dram_s, mut ledger_s, _) = setup(512, 512, true, false);
-        let (mut es_p, mut shell_p, mut dram_p, mut ledger_p, _) = setup(512, 512, true, false);
-        provision(&es_s, &mut dram_s, &data);
-        provision(&es_p, &mut dram_p, &data);
-        let pool = WorkerPool::new(4);
         let payload = [0xCD; 512];
-        es_s.write(
-            &mut shell_s,
-            &mut dram_s,
-            &mut ledger_s,
-            0x1000 + 256,
-            &payload,
-            AccessMode::Streaming,
-        )
-        .unwrap();
-        es_p.write_chunks(
-            &mut shell_p,
-            &mut dram_p,
-            &mut ledger_p,
-            0x1000 + 256,
-            &payload,
-            AccessMode::Streaming,
-            &pool,
-        )
-        .unwrap();
-        es_s.flush(&mut shell_s, &mut dram_s, &mut ledger_s)
-            .unwrap();
-        es_p.flush_parallel(&mut shell_p, &mut dram_p, &mut ledger_p, &pool)
-            .unwrap();
-        assert_eq!(core_stats(es_s.stats()), core_stats(es_p.stats()));
-        let got_s = es_s
-            .read(
-                &mut shell_s,
-                &mut dram_s,
-                &mut ledger_s,
-                0x1000,
-                1024,
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        let got_p = es_p
-            .read_chunks(
-                &mut shell_p,
-                &mut dram_p,
-                &mut ledger_p,
-                0x1000,
-                1024,
-                AccessMode::Streaming,
-                &pool,
-            )
-            .unwrap();
-        assert_eq!(got_s, got_p);
-        assert_eq!(&got_p[256..768], &payload[..]);
+        let mut shadow = data.clone();
+        shadow[256..768].copy_from_slice(&payload);
+        let mut one = Rig::new(1, setup(512, 512, true, false), &data);
+        let mut four = Rig::new(4, setup(512, 512, true, false), &data);
+        for rig in [&mut one, &mut four] {
+            rig.write(0x1000 + 256, &payload);
+            rig.flush();
+        }
+        assert_eq!(core_stats(one.es.stats()), core_stats(four.es.stats()));
+        assert_eq!(one.image(), four.image());
+        for rig in [&mut one, &mut four] {
+            assert_eq!(
+                rig.read(0x1000, 1024, AccessMode::Streaming),
+                &shadow[..1024]
+            );
+        }
+    }
+
+    #[test]
+    fn mac_only_flush_image_decrypts_to_the_shadow() {
+        // Under MacOnly every chunk is sealed at epoch 0, so the Data
+        // Owner's client can open the flushed DRAM image with no help
+        // from the engine set: an oracle that shares no datapath code.
+        let data: Vec<u8> = (0..8192u32).map(|i| (i * 5 % 256) as u8).collect();
+        let mut shadow = data.clone();
+        for lanes in [1usize, 4] {
+            let (es, shell, dram, ledger, dek) = setup(512, 1024, false, false);
+            let region = es.region().clone();
+            let mut rig = Rig::new(lanes, (es, shell, dram, ledger, dek.clone()), &data);
+            for (off, len, fill) in [
+                (100usize, 1500usize, 0x11u8),
+                (4000, 512, 0x22),
+                (7000, 1192, 0x33),
+            ] {
+                let bytes: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                rig.write(0x1000 + off as u64, &bytes);
+                shadow[off..off + len].copy_from_slice(&bytes);
+            }
+            rig.flush();
+            let (ct, tags) = rig.image();
+            let opened =
+                client::decrypt_region(&dek, &region, &ct, &tags, &client::uniform_epochs(0))
+                    .unwrap();
+            assert_eq!(opened, shadow, "{lanes} lanes");
+        }
     }
 
     #[test]
@@ -2245,7 +2089,7 @@ mod tests {
         }
         let pool = WorkerPool::new(4);
         let err = es
-            .read_chunks(
+            .read(
                 &mut shell,
                 &mut dram,
                 &mut ledger,
@@ -2264,7 +2108,7 @@ mod tests {
         // until the containment state is explicitly cleared.
         assert!(es.poisoned());
         let rejected = es
-            .read_chunks(
+            .read(
                 &mut shell,
                 &mut dram,
                 &mut ledger,
@@ -2283,7 +2127,7 @@ mod tests {
         // prefix then refills and verifies from DRAM as usual.
         es.clear_poison();
         let got = es
-            .read_chunks(
+            .read(
                 &mut shell,
                 &mut dram,
                 &mut ledger,
@@ -2299,6 +2143,7 @@ mod tests {
 
     #[test]
     fn serial_integrity_failure_poisons_until_cleared() {
+        let pool = WorkerPool::new(1);
         let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 4096, false, false);
         provision(&es, &mut dram, &vec![7u8; 8192]);
         let addr = 0x1000 + 3 * 512;
@@ -2313,6 +2158,7 @@ mod tests {
                 addr,
                 512,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap_err();
         assert!(matches!(err, ShefError::IntegrityViolation(_)));
@@ -2325,6 +2171,7 @@ mod tests {
             0x1000,
             16,
             AccessMode::Streaming,
+            &pool,
         );
         assert!(matches!(r, Err(ShefError::Fault(_))));
         let w = es.write(
@@ -2334,9 +2181,10 @@ mod tests {
             0x1000,
             &[1, 2, 3],
             AccessMode::Streaming,
+            &pool,
         );
         assert!(matches!(w, Err(ShefError::Fault(_))));
-        let fl = es.flush(&mut shell, &mut dram, &mut ledger);
+        let fl = es.flush(&mut shell, &mut dram, &mut ledger, &pool);
         assert!(matches!(fl, Err(ShefError::Fault(_))));
         assert_eq!(es.stats().contained_rejects, 3);
         es.clear_poison();
@@ -2348,6 +2196,7 @@ mod tests {
                 0x1000,
                 512,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         assert_eq!(got, vec![7u8; 512]);
@@ -2360,7 +2209,7 @@ mod tests {
         let pool = WorkerPool::new(4);
         pool.arm_lane_panic(0);
         let got = es
-            .read_chunks(
+            .read(
                 &mut shell,
                 &mut dram,
                 &mut ledger,
@@ -2388,7 +2237,7 @@ mod tests {
         // not deadlock or cascade panics into sibling lanes.
         pool.arm_lane_panic_sticky(0);
         let err = es
-            .read_chunks(
+            .read(
                 &mut shell,
                 &mut dram,
                 &mut ledger,
@@ -2409,7 +2258,7 @@ mod tests {
         // The set stays live: the same read succeeds once the fault is
         // gone (the sticky arm targeted an already-consumed job index).
         let got = es
-            .read_chunks(
+            .read(
                 &mut shell,
                 &mut dram,
                 &mut ledger,
@@ -2432,7 +2281,7 @@ mod tests {
         provision(&es, &mut dram, &vec![0u8; 8192]);
         let pool = WorkerPool::new(4);
         let payload = vec![0xABu8; 512];
-        es.write_chunks(
+        es.write(
             &mut shell,
             &mut dram,
             &mut ledger,
@@ -2444,7 +2293,7 @@ mod tests {
         .unwrap();
         pool.arm_lane_panic_sticky(0);
         let got = es
-            .read_chunks(
+            .read(
                 &mut shell,
                 &mut dram,
                 &mut ledger,
@@ -2461,7 +2310,7 @@ mod tests {
         pool.disarm_lane_panic();
         // The sealed chunk 0 round-trips from DRAM with the new bytes.
         let back = es
-            .read_chunks(
+            .read(
                 &mut shell,
                 &mut dram,
                 &mut ledger,
@@ -2477,95 +2326,44 @@ mod tests {
     #[test]
     fn blocking_batches_charge_the_same_stall_as_serial() {
         // Lane count must not hide a stalled accelerator: Blocking-mode
-        // serial latency is lane-count invariant and equals the serial
-        // path's.
+        // latency is the timing model's per-chunk latency summed over
+        // every open, at one lane and at eight.
         let data = vec![9u8; 8192];
-        let (mut es_s, mut shell_s, mut dram_s, mut ledger_s, _) = setup(512, 4096, false, false);
-        let (mut es_p, mut shell_p, mut dram_p, mut ledger_p, _) = setup(512, 4096, false, false);
-        provision(&es_s, &mut dram_s, &data);
-        provision(&es_p, &mut dram_p, &data);
-        let pool = WorkerPool::new(8);
-        let _ = es_s
-            .read(
-                &mut shell_s,
-                &mut dram_s,
-                &mut ledger_s,
-                0x1000,
-                8192,
-                AccessMode::Blocking,
-            )
-            .unwrap();
-        let _ = es_p
-            .read_chunks(
-                &mut shell_p,
-                &mut dram_p,
-                &mut ledger_p,
-                0x1000,
-                8192,
-                AccessMode::Blocking,
-                &pool,
-            )
-            .unwrap();
-        assert_eq!(ledger_p.serial(), ledger_s.serial());
+        for lanes in [1usize, 8] {
+            let mut rig = Rig::new(lanes, setup(512, 4096, false, false), &data);
+            assert_eq!(rig.read(0x1000, 8192, AccessMode::Blocking), data);
+            let opens = rig.es.stats().misses;
+            assert_eq!(opens, 16);
+            assert_eq!(
+                rig.ledger.serial(),
+                crypto_cycles(&rig.es, opens).latency,
+                "{lanes} lanes"
+            );
+        }
     }
 
     #[test]
     fn parallel_merkle_round_trip_matches_serial() {
-        let (mut es_s, mut shell_s, mut dram_s, mut ledger_s, _) = setup_merkle(512, 1024, 0);
-        let (mut es_p, mut shell_p, mut dram_p, mut ledger_p, _) = setup_merkle(512, 1024, 0);
-        let pool = WorkerPool::new(3);
         let payload: Vec<u8> = (0..4096u32).map(|i| (i % 193) as u8).collect();
-        es_s.write(
-            &mut shell_s,
-            &mut dram_s,
-            &mut ledger_s,
-            0x1000,
-            &payload,
-            AccessMode::Streaming,
-        )
-        .unwrap();
-        es_p.write_chunks(
-            &mut shell_p,
-            &mut dram_p,
-            &mut ledger_p,
-            0x1000,
-            &payload,
-            AccessMode::Streaming,
-            &pool,
-        )
-        .unwrap();
-        es_s.flush(&mut shell_s, &mut dram_s, &mut ledger_s)
-            .unwrap();
-        es_p.flush_parallel(&mut shell_p, &mut dram_p, &mut ledger_p, &pool)
-            .unwrap();
-        let got_s = es_s
-            .read(
-                &mut shell_s,
-                &mut dram_s,
-                &mut ledger_s,
-                0x1000,
-                4096,
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        let got_p = es_p
-            .read_chunks(
-                &mut shell_p,
-                &mut dram_p,
-                &mut ledger_p,
-                0x1000,
-                4096,
-                AccessMode::Streaming,
-                &pool,
-            )
-            .unwrap();
-        assert_eq!(got_s, payload);
-        assert_eq!(got_p, payload);
-        assert_eq!(core_stats(es_s.stats()), core_stats(es_p.stats()));
+        let mut one = Rig::new(1, setup_merkle(512, 1024, 0), &[]);
+        let mut three = Rig::new(3, setup_merkle(512, 1024, 0), &[]);
+        for rig in [&mut one, &mut three] {
+            rig.write(0x1000, &payload);
+            rig.flush();
+            assert_eq!(rig.read(0x1000, 4096, AccessMode::Streaming), payload);
+        }
+        assert_eq!(core_stats(one.es.stats()), core_stats(three.es.stats()));
+        assert_eq!(one.image(), three.image());
+        assert_eq!(
+            one.dram.tamper_read(0x20_0000, 4096),
+            three.dram.tamper_read(0x20_0000, 4096),
+            "merkle arena"
+        );
     }
 
     #[test]
     fn partial_tail_chunk() {
+        let pool = WorkerPool::new(1);
         // Region of 8192 with 4096-byte chunks has exactly 2 chunks; make
         // a region with a 1000-byte tail instead.
         let region = RegionConfig {
@@ -2590,9 +2388,10 @@ mod tests {
             0,
             &data,
             AccessMode::Streaming,
+            &pool,
         )
         .unwrap();
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        es.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
         let got = es
             .read(
                 &mut shell,
@@ -2601,6 +2400,7 @@ mod tests {
                 0,
                 5096,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         assert_eq!(got, data);

@@ -7,7 +7,7 @@
 //! (`std::thread` + `mpsc` channels — the workspace builds offline, so
 //! no rayon/crossbeam) that chunk-crypto batches are fanned across.
 //!
-//! Determinism contract: [`WorkerPool::run`] returns results in the
+//! Determinism contract: [`WorkerPool::try_run`] returns results in the
 //! exact order of the submitted jobs regardless of which lane executed
 //! what or in which order lanes finished. All *modelled* cost accounting
 //! (see [`super::timing::parallel_batch_cost`]) is computed from a
@@ -79,7 +79,7 @@ struct PoolShared {
     queue_high_water: AtomicUsize,
     /// Jobs executed per lane (real scheduling; observability only).
     jobs_per_lane: Vec<AtomicU64>,
-    /// Batches dispatched through [`WorkerPool::run`].
+    /// Batches dispatched through [`WorkerPool::try_run`].
     batches: AtomicU64,
     /// Jobs dispatched through [`WorkerPool::try_run`] since pool
     /// creation — the deterministic submission clock that fault arming
@@ -119,7 +119,7 @@ pub struct PoolStats {
     pub jobs_per_lane: Vec<u64>,
     /// Most jobs ever waiting in the shared queue at once.
     pub queue_high_water: usize,
-    /// Batches dispatched through [`WorkerPool::run`].
+    /// Batches dispatched through [`WorkerPool::try_run`].
     pub batches: u64,
 }
 
@@ -140,9 +140,8 @@ pub struct TryRunOutcome<R> {
 /// A fixed-size pool of crypto worker lanes.
 ///
 /// One lane models one replicated engine group. A pool with a single
-/// lane executes jobs inline on the caller thread (a serial engine set
-/// has no fan-out hardware), so `WorkerPool::new(1)` is a zero-overhead
-/// stand-in for the serial datapath.
+/// lane executes jobs inline on the caller thread (one engine group has
+/// no fan-out hardware), so `WorkerPool::new(1)` spawns no threads.
 pub struct WorkerPool {
     lanes: usize,
     sender: Option<mpsc::Sender<Job>>,
@@ -259,78 +258,13 @@ impl WorkerPool {
     }
 
     /// Runs `f` over every item, fanning the work across the pool's
-    /// lanes, and returns the results **in submission order**.
+    /// lanes, and returns the results **in submission order**. Never
+    /// unwinds into the caller: every job is drained, each panicked job
+    /// gets exactly one inline retry on the caller thread, and jobs that
+    /// fail the retry too are reported as empty slots in the outcome.
     ///
-    /// Panics in `f` are caught on the worker lane and re-raised on the
-    /// caller thread for the earliest-index failing item, so a poisoned
-    /// batch cannot deadlock the pool.
-    pub fn run<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(usize, T) -> R + Send + Sync + 'static,
-    {
-        self.shared.batches.fetch_add(1, Ordering::Relaxed);
-        let n = items.len();
-        if let Some(tele) = self.tele.get() {
-            tele.note_batch(n);
-        }
-        let Some(sender) = &self.sender else {
-            // Single lane: inline execution, trivially deterministic.
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| f(i, t))
-                .collect();
-        };
-        if n <= 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| f(i, t))
-                .collect();
-        }
-        let f = Arc::new(f);
-        let (done_tx, done_rx) = mpsc::channel();
-        for (i, item) in items.into_iter().enumerate() {
-            let queued = self.shared.queued.fetch_add(1, Ordering::Relaxed) + 1;
-            self.shared
-                .queue_high_water
-                .fetch_max(queued, Ordering::Relaxed);
-            let f = Arc::clone(&f);
-            let done_tx = done_tx.clone();
-            let job: Job = Box::new(move || {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, item)));
-                let _ = done_tx.send((i, outcome));
-            });
-            sender
-                .send(job)
-                .expect("pool lanes alive while handle held");
-        }
-        drop(done_tx);
-        let mut slots: Vec<Option<std::thread::Result<R>>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (i, outcome) = done_rx.recv().expect("every job reports exactly once");
-            slots[i] = Some(outcome);
-        }
-        let mut out = Vec::with_capacity(n);
-        for slot in slots {
-            match slot.expect("all slots filled") {
-                Ok(r) => out.push(r),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        out
-    }
-
-    /// Like [`WorkerPool::run`], but never unwinds into the caller:
-    /// every job is drained, each panicked job gets exactly one inline
-    /// retry on the caller thread, and jobs that fail the retry too are
-    /// reported as empty slots in the outcome instead of re-raising.
-    ///
-    /// This is the degradation-aware entry point the batch datapath
-    /// uses: a dying lane must not abandon sibling jobs (victim seals
-    /// in particular exist only in the staged batch).
+    /// A dying lane must not abandon sibling jobs: victim seals of the
+    /// batch datapath exist only in the staged batch.
     ///
     /// Items are cloned up front so panicked jobs can be replayed;
     /// callers on hot paths should make cloning cheap (e.g. `Arc`).
@@ -441,8 +375,7 @@ impl WorkerPool {
     /// Arms a one-shot injected lane fault: the `nth` job (0-based)
     /// dispatched through [`WorkerPool::try_run`] from now on panics on
     /// its first attempt; the bounded inline retry then succeeds. Test
-    /// hook for transient-fault campaigns — [`WorkerPool::run`] jobs
-    /// are not affected.
+    /// hook for transient-fault campaigns.
     pub fn arm_lane_panic(&self, nth: u64) {
         self.shared.panic_sticky.store(false, Ordering::Relaxed);
         let at = self
@@ -487,17 +420,24 @@ impl Drop for WorkerPool {
 mod tests {
     use super::*;
 
+    /// Unwraps a batch that must have succeeded in full.
+    fn values<R>(out: TryRunOutcome<R>) -> Vec<R> {
+        assert_eq!(out.failed, Vec::<usize>::new());
+        assert_eq!(out.lane_panics, 0);
+        out.results.into_iter().map(Option::unwrap).collect()
+    }
+
     #[test]
     fn results_are_in_submission_order() {
         let pool = WorkerPool::new(4);
         let items: Vec<u64> = (0..257).collect();
-        let out = pool.run(items, |i, x| {
+        let out = values(pool.try_run(items, |i, x| {
             // Stagger lane timing so completion order scrambles.
             if i % 7 == 0 {
                 thread::sleep(std::time::Duration::from_micros(50));
             }
             x * 3 + 1
-        });
+        }));
         assert_eq!(out.len(), 257);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i as u64 * 3 + 1);
@@ -508,10 +448,10 @@ mod tests {
     fn single_lane_runs_inline() {
         let pool = WorkerPool::new(1);
         let tid = thread::current().id();
-        let out = pool.run(vec![(); 8], move |i, ()| {
+        let out = values(pool.try_run(vec![(); 8], move |i, ()| {
             assert_eq!(thread::current().id(), tid, "lane 1 must execute inline");
             i
-        });
+        }));
         assert_eq!(out, (0..8).collect::<Vec<_>>());
         assert!(pool.stats().jobs_per_lane.iter().all(|&j| j == 0));
     }
@@ -520,21 +460,38 @@ mod tests {
     fn zero_lanes_clamps_to_one() {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.lanes(), 1);
-        assert_eq!(pool.run(vec![5u8], |_, x| x + 1), vec![6]);
+        assert_eq!(values(pool.try_run(vec![5u8], |_, x| x + 1)), vec![6]);
     }
 
     #[test]
     fn empty_batch_is_fine() {
+        for lanes in [1usize, 4] {
+            let pool = WorkerPool::new(lanes);
+            let out: Vec<u8> = values(pool.try_run(Vec::<u8>::new(), |_, x| x));
+            assert!(out.is_empty());
+            assert_eq!(pool.stats().batches, 1);
+        }
+    }
+
+    #[test]
+    fn single_item_batch_runs_on_the_caller() {
+        // One job is not worth a lane hand-off: it runs inline even on a
+        // threaded pool.
         let pool = WorkerPool::new(4);
-        let out: Vec<u8> = pool.run(Vec::<u8>::new(), |_, x| x);
-        assert!(out.is_empty());
+        let tid = thread::current().id();
+        let out = values(pool.try_run(vec![7u64], move |_, x| {
+            assert_eq!(thread::current().id(), tid);
+            x * 2
+        }));
+        assert_eq!(out, vec![14]);
+        assert!(pool.stats().jobs_per_lane.iter().all(|&j| j == 0));
     }
 
     #[test]
     fn lanes_share_the_work() {
         let pool = WorkerPool::new(4);
         // Enough jobs that every lane should get some.
-        let _ = pool.run((0..4096u64).collect(), |_, x| x.wrapping_mul(2));
+        let _ = values(pool.try_run((0..4096u64).collect(), |_, x| x.wrapping_mul(2)));
         let stats = pool.stats();
         assert_eq!(stats.lanes, 4);
         assert_eq!(stats.jobs_per_lane.iter().sum::<u64>(), 4096);
@@ -546,7 +503,7 @@ mod tests {
     fn pool_survives_many_batches() {
         let pool = WorkerPool::new(3);
         for round in 0..50u64 {
-            let out = pool.run((0..17u64).collect(), move |_, x| x + round);
+            let out = values(pool.try_run((0..17u64).collect(), move |_, x| x + round));
             assert_eq!(out, (round..17 + round).collect::<Vec<_>>());
         }
     }
@@ -613,8 +570,10 @@ mod tests {
         assert_eq!(out.lane_panics, 2);
         assert_eq!(out.results[5], None);
         assert_eq!(out.results[4], Some(4));
-        // The pool (and its queue mutex) survive for the next batch.
-        assert_eq!(pool.run(vec![1u64, 2], |_, x| x * 10), vec![10, 20]);
+        // The lanes (and the shared queue mutex) survive: a next batch
+        // large enough to reach every lane drains completely.
+        let next = values(pool.try_run((0..64u64).collect(), |_, x| x * 10));
+        assert_eq!(next, (0..64u64).map(|x| x * 10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -636,19 +595,5 @@ mod tests {
         assert_eq!(r.counters["shield.pool.lane_panics"], 2);
         assert_eq!(r.counters["shield.pool.recovered_retries"], 0);
         assert_eq!(r.counters["shield.pool.failed_jobs"], 1);
-    }
-
-    #[test]
-    fn panic_in_job_propagates_without_deadlock() {
-        let pool = WorkerPool::new(2);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run((0..8u64).collect(), |_, x| {
-                assert!(x != 5, "boom");
-                x
-            })
-        }));
-        assert!(result.is_err());
-        // The pool is still usable afterwards.
-        assert_eq!(pool.run(vec![1u64, 2], |_, x| x * 10), vec![10, 20]);
     }
 }

@@ -633,7 +633,7 @@ impl ShieldService {
             let result = match &pending.request {
                 ServiceRequest::Read { addr, len, mode } => tenant_slot
                     .shield
-                    .read_parallel(
+                    .read(
                         &mut tenant_slot.shell,
                         &mut tenant_slot.dram,
                         &mut tenant_slot.ledger,
@@ -645,7 +645,7 @@ impl ShieldService {
                     .map(Some),
                 ServiceRequest::Write { addr, data, mode } => tenant_slot
                     .shield
-                    .write_parallel(
+                    .write(
                         &mut tenant_slot.shell,
                         &mut tenant_slot.dram,
                         &mut tenant_slot.ledger,
@@ -657,7 +657,7 @@ impl ShieldService {
                     .map(|()| None),
                 ServiceRequest::Flush => tenant_slot
                     .shield
-                    .flush_parallel(
+                    .flush(
                         &mut tenant_slot.shell,
                         &mut tenant_slot.dram,
                         &mut tenant_slot.ledger,

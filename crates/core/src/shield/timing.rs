@@ -193,7 +193,7 @@ pub fn buffer_hit_cost(len: usize) -> Cycles {
 ///   per-lane ledger lanes and let the bottleneck model take the max.
 /// * **Blocking** — the consumer stalls on every chunk in order, so
 ///   replication buys nothing; charge [`BatchCost::serial_latency`] to
-///   the ledger's serial term, exactly like the serial datapath.
+///   the ledger's serial term.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchCost {
     /// Steady-state occupancy per lane, in round-robin assignment order.
@@ -211,13 +211,13 @@ impl BatchCost {
     }
 
     /// Total crypto work across all lanes — what the same batch would
-    /// occupy on a single serial engine set.
+    /// occupy on a single engine group.
     #[must_use]
     pub fn total(&self) -> Cycles {
         self.per_lane.iter().copied().sum()
     }
 
-    /// Modelled parallel speedup: serial-equivalent work over makespan.
+    /// Modelled lane speedup: one-lane-equivalent work over makespan.
     #[must_use]
     pub fn speedup(&self) -> f64 {
         let makespan = self.makespan().0;

@@ -1,11 +1,15 @@
-//! Deterministic stress tests for the parallel worker-pool datapath.
+//! Deterministic stress tests for the worker-pool datapath.
 //!
 //! A fixed LCG drives long mixed read/write/flush traces over twin
-//! engine sets — one served by the serial datapath, one by the batched
-//! parallel datapath — across lane counts and integrity schemes. The
-//! parallel path must be byte-for-byte identical: every read returns
-//! the same bytes, the functional statistics never drift, and the DRAM
-//! image (ciphertext, tag arena, Merkle arena) ends up identical.
+//! engine sets — one with a one-lane pool, which runs every crypto job
+//! inline ("serial"), one fanned across N lanes — across lane counts
+//! and integrity schemes. Neither twin is the oracle: every read of
+//! both is checked against a plaintext shadow of the region, the
+//! functional statistics must never drift apart, the sealed DRAM images
+//! (ciphertext, tag arena, Merkle arena) must end up identical, a
+//! MacOnly image must decrypt client-side to the shadow, and the
+//! one-lane crypto cycles must equal the timing model's per-chunk cost
+//! times the jobs run.
 //!
 //! Everything here is deterministic by construction: job→lane
 //! assignment is round-robin in dispatch order, so two runs with the
@@ -14,8 +18,9 @@
 use shef_core::shield::config::{EngineSetConfig, MemRange, RegionConfig};
 use shef_core::shield::engine::{AccessMode, EngineSet, EngineSetStats};
 use shef_core::shield::merkle::MerkleConfig;
+use shef_core::shield::timing::chunk_crypto_cost;
 use shef_core::shield::{client, DataEncryptionKey, WorkerPool};
-use shef_fpga::clock::CostLedger;
+use shef_fpga::clock::{CostLedger, Cycles};
 use shef_fpga::dram::Dram;
 use shef_fpga::shell::Shell;
 
@@ -79,14 +84,24 @@ enum Scheme {
     Merkle,
 }
 
+/// One engine set with its own Shell, DRAM, ledger and worker pool.
 struct Setup {
     es: EngineSet,
     shell: Shell,
     dram: Dram,
     ledger: CostLedger,
+    pool: WorkerPool,
+    region: RegionConfig,
+    dek: DataEncryptionKey,
 }
 
-fn setup(scheme: Scheme, chunk: usize, buffer_lines: usize, region_len: u64) -> Setup {
+fn setup(
+    scheme: Scheme,
+    chunk: usize,
+    buffer_lines: usize,
+    region_len: u64,
+    lanes: usize,
+) -> Setup {
     let (counters, merkle) = match scheme {
         Scheme::MacOnly => (false, None),
         Scheme::Counters => (true, None),
@@ -121,7 +136,64 @@ fn setup(scheme: Scheme, chunk: usize, buffer_lines: usize, region_len: u64) -> 
         shell: Shell::new(),
         dram,
         ledger: CostLedger::new(),
+        pool: WorkerPool::new(lanes),
+        region,
+        dek,
     }
+}
+
+impl Setup {
+    fn read(&mut self, offset: u64, len: usize) -> Vec<u8> {
+        self.es
+            .read(
+                &mut self.shell,
+                &mut self.dram,
+                &mut self.ledger,
+                REGION_BASE + offset,
+                len,
+                AccessMode::Streaming,
+                &self.pool,
+            )
+            .unwrap()
+    }
+
+    fn write(&mut self, offset: u64, data: &[u8]) {
+        self.es
+            .write(
+                &mut self.shell,
+                &mut self.dram,
+                &mut self.ledger,
+                REGION_BASE + offset,
+                data,
+                AccessMode::Streaming,
+                &self.pool,
+            )
+            .unwrap();
+    }
+
+    fn flush(&mut self) {
+        self.es
+            .flush(
+                &mut self.shell,
+                &mut self.dram,
+                &mut self.ledger,
+                &self.pool,
+            )
+            .unwrap();
+    }
+
+    fn apply(&mut self, op: &Op) -> Option<Vec<u8>> {
+        match *op {
+            Op::Read { offset, len } => return Some(self.read(offset, len)),
+            Op::Write { offset, len, fill } => self.write(offset, &write_bytes(len, fill)),
+            Op::Flush => self.flush(),
+        }
+        None
+    }
+}
+
+fn write_bytes(len: usize, fill: u8) -> Vec<u8> {
+    (0..len).map(|i| fill.wrapping_add(i as u8)).collect()
 }
 
 fn functional(s: EngineSetStats) -> (u64, u64, u64, u64, u64, u64, u64) {
@@ -136,86 +208,40 @@ fn functional(s: EngineSetStats) -> (u64, u64, u64, u64, u64, u64, u64) {
     )
 }
 
-/// Replays `ops` through the serial path on one setup and the parallel
-/// path (at `lanes`) on a twin, asserting byte-for-byte agreement at
-/// every step and identical end state.
+/// Replays `ops` on a one-lane twin and a `lanes`-lane twin, checking
+/// both against a plaintext shadow at every read and against each other
+/// at every step and at the end.
 fn run_twins(scheme: Scheme, chunk: usize, buffer_lines: usize, lanes: usize, ops: &[Op]) {
     let region_len = 32 * chunk as u64; // M = 32 chunks per trace
-    let mut serial = setup(scheme, chunk, buffer_lines, region_len);
-    let mut par = setup(scheme, chunk, buffer_lines, region_len);
-    let pool = WorkerPool::new(lanes);
-    let mode = AccessMode::Streaming;
+    let mut one = setup(scheme, chunk, buffer_lines, region_len, 1);
+    let mut par = setup(scheme, chunk, buffer_lines, region_len, lanes);
+    let mut shadow = vec![0u8; region_len as usize];
 
     for (step, op) in ops.iter().enumerate() {
+        let a = one.apply(op);
+        let b = par.apply(op);
         match *op {
             Op::Read { offset, len } => {
-                let addr = REGION_BASE + offset;
-                let a = serial
-                    .es
-                    .read(
-                        &mut serial.shell,
-                        &mut serial.dram,
-                        &mut serial.ledger,
-                        addr,
-                        len,
-                        mode,
-                    )
-                    .unwrap();
-                let b = par
-                    .es
-                    .read_chunks(
-                        &mut par.shell,
-                        &mut par.dram,
-                        &mut par.ledger,
-                        addr,
-                        len,
-                        mode,
-                        &pool,
-                    )
-                    .unwrap();
+                let want = &shadow[offset as usize..offset as usize + len];
                 assert_eq!(
-                    a, b,
+                    a.as_deref(),
+                    Some(want),
+                    "one-lane read drift at step {step} ({scheme:?})"
+                );
+                assert_eq!(
+                    b.as_deref(),
+                    Some(want),
                     "read drift at step {step} ({lanes} lanes, {scheme:?})"
                 );
             }
             Op::Write { offset, len, fill } => {
-                let addr = REGION_BASE + offset;
-                let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
-                serial
-                    .es
-                    .write(
-                        &mut serial.shell,
-                        &mut serial.dram,
-                        &mut serial.ledger,
-                        addr,
-                        &data,
-                        mode,
-                    )
-                    .unwrap();
-                par.es
-                    .write_chunks(
-                        &mut par.shell,
-                        &mut par.dram,
-                        &mut par.ledger,
-                        addr,
-                        &data,
-                        mode,
-                        &pool,
-                    )
-                    .unwrap();
+                shadow[offset as usize..offset as usize + len]
+                    .copy_from_slice(&write_bytes(len, fill));
             }
-            Op::Flush => {
-                serial
-                    .es
-                    .flush(&mut serial.shell, &mut serial.dram, &mut serial.ledger)
-                    .unwrap();
-                par.es
-                    .flush_parallel(&mut par.shell, &mut par.dram, &mut par.ledger, &pool)
-                    .unwrap();
-            }
+            Op::Flush => {}
         }
         assert_eq!(
-            functional(serial.es.stats()),
+            functional(one.es.stats()),
             functional(par.es.stats()),
             "counter drift at step {step} ({lanes} lanes, {scheme:?})"
         );
@@ -223,37 +249,58 @@ fn run_twins(scheme: Scheme, chunk: usize, buffer_lines: usize, lanes: usize, op
 
     // Drain both buffers, then the sealed DRAM images must agree bit
     // for bit: ciphertext, tag arena, and (for Merkle) the node arena.
-    serial
-        .es
-        .flush(&mut serial.shell, &mut serial.dram, &mut serial.ledger)
-        .unwrap();
-    par.es
-        .flush_parallel(&mut par.shell, &mut par.dram, &mut par.ledger, &pool)
-        .unwrap();
+    one.flush();
+    par.flush();
+    let image = one.dram.tamper_read(REGION_BASE, region_len as usize);
+    let tags = one.dram.tamper_read(TAG_BASE, 32 * 1024);
     assert_eq!(
-        serial.dram.tamper_read(REGION_BASE, region_len as usize),
+        image,
         par.dram.tamper_read(REGION_BASE, region_len as usize),
         "sealed region image drift ({lanes} lanes, {scheme:?})"
     );
     assert_eq!(
-        serial.dram.tamper_read(TAG_BASE, 32 * 1024),
+        tags,
         par.dram.tamper_read(TAG_BASE, 32 * 1024),
         "tag arena drift ({lanes} lanes, {scheme:?})"
     );
     if matches!(scheme, Scheme::Merkle) {
         assert_eq!(
-            serial.dram.tamper_read(MERKLE_BASE, 32 * 1024),
+            one.dram.tamper_read(MERKLE_BASE, 32 * 1024),
             par.dram.tamper_read(MERKLE_BASE, 32 * 1024),
             "merkle arena drift ({lanes} lanes)"
         );
     }
+    // MacOnly seals every chunk at epoch 0, so the Data Owner's client
+    // opens the image on its own: the flushed bytes are the shadow.
+    if matches!(scheme, Scheme::MacOnly) {
+        let opened = client::decrypt_region(
+            &one.dek,
+            &one.region,
+            &image,
+            &tags,
+            &client::uniform_epochs(0),
+        )
+        .expect("flushed image authenticates");
+        assert_eq!(opened, shadow, "flushed image differs from the shadow");
+    }
 
-    // Lane fan-out must conserve the total crypto work: the sum over
-    // the engine set's lane group equals the serial path's single lane.
-    let lane_name = serial.es.lane().to_owned();
+    // The one-lane set charges each seal/open job the timing model's
+    // full-chunk cost (the Merkle tree charges the same lane, so skip
+    // it), and lane fan-out conserves that total across sub-lanes.
+    let lane_name = one.es.lane().to_owned();
+    if !matches!(scheme, Scheme::Merkle) {
+        let stats = one.es.stats();
+        let jobs = stats.misses + stats.writebacks;
+        let per_job = chunk_crypto_cost(&one.region.engine_set, chunk).lane;
+        assert_eq!(
+            one.ledger.lane(&lane_name),
+            Cycles(per_job.0 * jobs),
+            "one-lane crypto cycles off the timing model ({scheme:?})"
+        );
+    }
     assert_eq!(
         par.ledger.group_total(&lane_name),
-        serial.ledger.lane(&lane_name),
+        one.ledger.lane(&lane_name),
         "crypto cycles not conserved ({lanes} lanes, {scheme:?})"
     );
 }
@@ -300,42 +347,8 @@ fn parallel_replay_is_deterministic() {
     // ledgers — not just the totals — must be identical.
     let ops = trace(0x5EED, 90, 32 * 256, 256);
     let run = || {
-        let mut s = setup(Scheme::Counters, 256, 3, 32 * 256);
-        let pool = WorkerPool::new(4);
-        let mut outputs = Vec::new();
-        for op in &ops {
-            match *op {
-                Op::Read { offset, len } => outputs.push(
-                    s.es.read_chunks(
-                        &mut s.shell,
-                        &mut s.dram,
-                        &mut s.ledger,
-                        REGION_BASE + offset,
-                        len,
-                        AccessMode::Streaming,
-                        &pool,
-                    )
-                    .unwrap(),
-                ),
-                Op::Write { offset, len, fill } => {
-                    let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
-                    s.es.write_chunks(
-                        &mut s.shell,
-                        &mut s.dram,
-                        &mut s.ledger,
-                        REGION_BASE + offset,
-                        &data,
-                        AccessMode::Streaming,
-                        &pool,
-                    )
-                    .unwrap();
-                }
-                Op::Flush => {
-                    s.es.flush_parallel(&mut s.shell, &mut s.dram, &mut s.ledger, &pool)
-                        .unwrap();
-                }
-            }
-        }
+        let mut s = setup(Scheme::Counters, 256, 3, 32 * 256, 4);
+        let outputs: Vec<Vec<u8>> = ops.iter().filter_map(|op| s.apply(op)).collect();
         (outputs, s.ledger, s.es.stats())
     };
     let (out_a, ledger_a, stats_a) = run();

@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use shef_telemetry::Telemetry;
 use shef_testkit::{
-    campaign_plan, json_escape, run_plan, CampaignRecord, CampaignTelemetry, DataPath, FaultClass,
-    FaultPlan, ScenarioReport, Scheme, Verdict,
+    campaign_cells, json_escape, run_plan, CampaignRecord, CampaignTelemetry, FaultClass,
+    FaultPlan, ScenarioReport, Verdict,
 };
 
 struct Args {
@@ -112,67 +112,23 @@ fn main() {
     let mut records: Vec<CampaignRecord> = Vec::new();
     let mut disallowed = 0usize;
 
-    for seed in 0..args.seeds {
-        for class in FaultClass::ALL {
-            for &lanes in &args.lanes {
-                let path = if lanes <= 1 && !class.uses_pool() {
-                    DataPath::Serial
-                } else {
-                    DataPath::Parallel { lanes }
-                };
-                let plan = campaign_plan(seed, class, lanes, path);
-                let scheme = plan.scheme;
-                let report = run_with_watchdog(plan, budget);
-                campaign_tele.record(&report);
-                if !report.is_allowed() {
-                    disallowed += 1;
-                    eprintln!(
-                        "FORBIDDEN: seed={seed} class={} scheme={} lanes={lanes} -> {} ({})",
-                        class.as_str(),
-                        scheme.as_str(),
-                        report.verdict,
-                        report.detail
-                    );
-                }
-                records.push(CampaignRecord {
-                    seed,
-                    class: Some(class),
-                    scheme,
-                    lanes,
-                    path: path.label(),
-                    report,
-                });
-            }
+    for cell in campaign_cells(args.seeds, &args.lanes) {
+        let report = run_with_watchdog(cell.plan.clone(), budget);
+        campaign_tele.record(&report);
+        let record = cell.record(report);
+        if !record.passes() {
+            disallowed += 1;
+            eprintln!(
+                "FORBIDDEN: seed={} class={} scheme={} lanes={} -> {} ({})",
+                record.seed,
+                record.class.map_or("baseline", FaultClass::as_str),
+                record.scheme.as_str(),
+                record.lanes,
+                record.report.verdict,
+                record.report.detail
+            );
         }
-    }
-    // Fault-free baselines: must come back clean on every scheme/path.
-    for scheme in Scheme::ALL {
-        for &lanes in &args.lanes {
-            for (seed, path) in [
-                (0u64, DataPath::Serial),
-                (1u64, DataPath::Parallel { lanes }),
-            ] {
-                let report = run_with_watchdog(FaultPlan::clean(seed, scheme, path), budget);
-                campaign_tele.record(&report);
-                if report.verdict != Verdict::Clean {
-                    disallowed += 1;
-                    eprintln!(
-                        "FORBIDDEN: clean baseline scheme={} lanes={lanes} -> {} ({})",
-                        scheme.as_str(),
-                        report.verdict,
-                        report.detail
-                    );
-                }
-                records.push(CampaignRecord {
-                    seed,
-                    class: None,
-                    scheme,
-                    lanes,
-                    path: path.label(),
-                    report,
-                });
-            }
-        }
+        records.push(record);
     }
 
     // Summary matrix: verdict histogram per fault class.

@@ -9,6 +9,7 @@
 
 use shef::core::attacks::{icap_swap, jtag_probe, MemReadSpoofer, ReplaySnapshot};
 use shef::core::attest::kernel_check_monitors;
+use shef::core::shield::WorkerPool;
 use shef::core::shield::{client, AccessMode, EngineSetConfig, MemRange, ShieldConfig};
 use shef::core::workflow::TestBench;
 use shef::core::ShefError;
@@ -39,6 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let region = instance.shield.config().regions[0].clone();
     let tag_base = instance.shield.config().tag_base(0);
     let mut ledger = CostLedger::new();
+    let pool = WorkerPool::new(1);
 
     // Provision a secret through the legitimate path.
     let secret = vec![0xD5u8; 4096];
@@ -58,6 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         0,
         512,
         AccessMode::Streaming,
+        &pool,
     );
     assert!(matches!(outcome, Err(ShefError::IntegrityViolation(_))));
     println!("  -> DETECTED: {}", outcome.unwrap_err());
@@ -77,11 +80,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         0,
         &[0xEEu8; 512],
         AccessMode::Streaming,
+        &pool,
     )?;
     instance.shield.flush(
         &mut instance.board.shell,
         &mut instance.board.device.dram,
         &mut ledger,
+        &pool,
     )?;
     snapshot.replay(&mut instance.board.device.dram);
     let outcome = instance.shield.read(
@@ -91,6 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         0,
         512,
         AccessMode::Streaming,
+        &pool,
     );
     assert!(matches!(outcome, Err(ShefError::IntegrityViolation(_))));
     println!("  -> DETECTED: freshness counter mismatch");

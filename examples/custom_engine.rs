@@ -18,6 +18,7 @@
 //! Run with: `cargo run --release --example custom_engine`
 
 use shef::core::shield::area::shield_area;
+use shef::core::shield::WorkerPool;
 use shef::core::shield::{
     AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, MerkleConfig, Shield, ShieldConfig,
 };
@@ -92,6 +93,7 @@ fn run_workload(shield: &mut Shield) -> Result<u64, Box<dyn std::error::Error>> 
     // the high arena.
     let mut dram = Dram::f1_default();
     let mut ledger = CostLedger::new();
+    let pool = WorkerPool::new(1);
 
     for start in (0..REGION).step_by(CHUNK) {
         shield.write(
@@ -101,9 +103,10 @@ fn run_workload(shield: &mut Shield) -> Result<u64, Box<dyn std::error::Error>> 
             start,
             &[7u8; CHUNK],
             AccessMode::Streaming,
+            &pool,
         )?;
     }
-    shield.flush(&mut shell, &mut dram, &mut ledger)?;
+    shield.flush(&mut shell, &mut dram, &mut ledger, &pool)?;
 
     let mut state = 0x1234_5678_9abc_def0u64;
     for _ in 0..2_000 {
@@ -116,6 +119,7 @@ fn run_workload(shield: &mut Shield) -> Result<u64, Box<dyn std::error::Error>> 
             addr,
             16,
             AccessMode::Streaming,
+            &pool,
         )?;
         bytes[0] = bytes[0].wrapping_add(1);
         shield.write(
@@ -125,9 +129,10 @@ fn run_workload(shield: &mut Shield) -> Result<u64, Box<dyn std::error::Error>> 
             addr,
             &bytes,
             AccessMode::Streaming,
+            &pool,
         )?;
     }
-    shield.flush(&mut shell, &mut dram, &mut ledger)?;
+    shield.flush(&mut shell, &mut dram, &mut ledger, &pool)?;
     ledger.merge(dram.ledger());
     Ok(ledger.bottleneck().0)
 }

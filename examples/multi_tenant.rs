@@ -16,6 +16,7 @@
 //!
 //! Run with: `cargo run --release --example multi_tenant`
 
+use shef::core::shield::WorkerPool;
 use shef::core::shield::{
     client, AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, Shield, ShieldConfig,
 };
@@ -45,6 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut shell = Shell::new();
     let mut dram = Dram::f1_default();
     let mut ledger = CostLedger::new();
+    let pool = WorkerPool::new(1);
 
     let mut alice = tenant_shield("alice-genomes", 0, b"vendor-shield-alice")?;
     let mut bob = tenant_shield("bob-ledgers", 1 << 26, b"vendor-shield-bob")?;
@@ -75,8 +77,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         0,
         &genome,
         AccessMode::Streaming,
+        &pool,
     )?;
-    alice.flush(&mut shell, &mut dram, &mut ledger)?;
+    alice.flush(&mut shell, &mut dram, &mut ledger, &pool)?;
     bob.write(
         &mut shell,
         &mut dram,
@@ -84,8 +87,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         1 << 26,
         &[0x42u8; 512],
         AccessMode::Streaming,
+        &pool,
     )?;
-    bob.flush(&mut shell, &mut dram, &mut ledger)?;
+    bob.flush(&mut shell, &mut dram, &mut ledger, &pool)?;
     println!("[run]     both tenants wrote encrypted state to shared DRAM");
 
     // Property 2: the burst decoder confines each Shield to its regions.
@@ -96,6 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         0,
         64,
         AccessMode::Streaming,
+        &pool,
     );
     assert!(matches!(foreign, Err(ShefError::UnmappedAddress(_))));
     println!("[isolate] Bob's Shield reading Alice's region → unmapped ✓");
@@ -117,6 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         0,
         512,
         AccessMode::Streaming,
+        &pool,
     );
     assert!(matches!(tampered, Err(ShefError::IntegrityViolation(_))));
     println!("[detect]  Alice's Shield flags the tampered chunk ✓");
@@ -129,6 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         1 << 26,
         512,
         AccessMode::Streaming,
+        &pool,
     )?;
     assert_eq!(bob_data, vec![0x42u8; 512]);
     println!("[detect]  Bob's Shield unaffected ✓");

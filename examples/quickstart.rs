@@ -17,6 +17,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use shef::core::shield::WorkerPool;
 use shef::core::shield::{client, AccessMode};
 use shef::core::shield::{EngineSetConfig, MemRange, ShieldConfig};
 use shef::core::workflow::TestBench;
@@ -80,6 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let region = instance.shield.config().regions[0].clone();
     let enc = client::encrypt_region(&dek, &region, &records, 0);
     let mut ledger = CostLedger::new();
+    let pool = WorkerPool::new(1);
     let tag_base = instance.shield.config().tag_base(0);
     instance.board.host.dma_to_device(
         &mut instance.board.shell,
@@ -108,6 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         region.range.start,
         records.len(),
         AccessMode::Streaming,
+        &pool,
     )?;
     assert_eq!(plain, records);
     println!(

@@ -1,28 +1,27 @@
 #!/usr/bin/env sh
-# Side-by-side diff of two BENCH_*.json reports (see `lane_scaling
-# --json` / shef_bench::write_bench_json). The reports are line-oriented
-# on purpose: one record per line, so plain awk can join them and CI
-# needs no JSON tooling.
+# Exact gate over two BENCH_*.json reports (see `lane_scaling --json` /
+# shef_bench::write_bench_json). The reports are line-oriented on
+# purpose: one record per line, so plain awk can join them and CI needs
+# no JSON tooling.
 #
-#   scripts/bench_diff.sh BASELINE.json CURRENT.json [MAX_REGRESSION_PCT]
+#   scripts/bench_diff.sh BASELINE.json CURRENT.json
 #
-# With a threshold, exits 1 if any workload's modelled shield cycles
-# regressed by more than MAX_REGRESSION_PCT, or if a baseline workload
-# disappeared from the current report. The numbers are deterministic
-# model output, so any delta at all is a real code change — the
-# threshold only separates "worth failing the build" from "worth a look
-# in the table".
+# Prints a side-by-side table and exits 1 if any workload's modelled
+# shield cycles differ from the baseline in either direction, if a
+# baseline workload is missing from the current report, or if the
+# current report has a workload the baseline lacks. The numbers are
+# deterministic cost-model output, so any delta is a real model change:
+# land it with a regenerated bench/baseline.json.
 set -eu
 
 usage() {
-    echo "usage: $0 BASELINE.json CURRENT.json [MAX_REGRESSION_PCT]" >&2
+    echo "usage: $0 BASELINE.json CURRENT.json" >&2
     exit 2
 }
 
-[ $# -ge 2 ] && [ $# -le 3 ] || usage
+[ $# -eq 2 ] || usage
 base=$1
 cur=$2
-thresh=${3:--1}
 
 for f in "$base" "$cur"; do
     [ -f "$f" ] || { echo "bench_diff: $f does not exist" >&2; exit 2; }
@@ -53,7 +52,7 @@ for f in "$base" "$cur"; do
     ' "$f" || exit 2
 done
 
-awk -v thresh="$thresh" -v basefile="$base" '
+awk -v basefile="$base" '
 function field(line, name,    rest) {
     rest = line
     sub(".*\"" name "\": *", "", rest)
@@ -68,6 +67,7 @@ FNR == 1 { filenum++ }
         if (!(key in base_cyc)) order[++n] = key
         base_cyc[key] = field($0, "shield_cycles")
     } else {
+        if (!(key in cur_cyc)) cur_order[++m] = key
         cur_cyc[key] = field($0, "shield_cycles")
     }
 }
@@ -83,18 +83,23 @@ END {
             continue
         }
         c = cur_cyc[key] + 0
-        d = (b > 0) ? (c - b) * 100.0 / b : 0
         mark = ""
-        if (thresh + 0 >= 0 && d > thresh + 0) { mark = "  << REGRESSION"; fail = 1 }
-        printf "%-38s %14d %14d %+9.2f%%%s\n", key, b, c, d, mark
+        if (c != b) { mark = "  << CHANGED"; fail = 1 }
+        printf "%-38s %14d %14d %+10d%s\n", key, b, c, c - b, mark
     }
-    for (key in cur_cyc)
-        if (!(key in base_cyc))
-            printf "%-38s %14s %14d %10s\n", key, "(new)", cur_cyc[key] + 0, ""
+    for (j = 1; j <= m; j++) {
+        key = cur_order[j]
+        if (!(key in base_cyc)) {
+            printf "%-38s %14s %14d %10s\n", key, "(new)", cur_cyc[key] + 0, "FAIL"
+            fail = 1
+        }
+    }
     if (fail) {
-        printf "\nbench gate FAILED: shield cycles regressed beyond %s%% vs %s\n", thresh, basefile
-        printf "(if the slowdown is intended, regenerate the baseline:\n"
-        printf "  cargo run --release -p shef-bench --bin lane_scaling -- --json bench/baseline.json)\n"
+        printf "\nbench gate FAILED: modelled shield cycles differ from %s\n", basefile
+        printf "(if the model change is intended, regenerate the baseline:\n"
+        printf "  cargo run --release -p shef-bench --bin lane_scaling -- --lanes 1,2,4,8 --json BENCH_lanes.json\n"
+        printf "  cargo run --release -p shef-bench --bin tenant_scaling -- --tenants 1,2,4 --json BENCH_service.json\n"
+        printf "  cat BENCH_lanes.json BENCH_service.json > bench/baseline.json)\n"
         exit 1
     }
 }
