@@ -18,7 +18,17 @@ fn bench_aes(c: &mut Criterion) {
     let block = [0x5au8; 16];
     group.bench_function("aes128_block", |b| b.iter(|| aes128.encrypt_block(&block)));
     group.bench_function("aes256_block", |b| b.iter(|| aes256.encrypt_block(&block)));
-    for size in [512usize, 4096] {
+    // The bitsliced core's native unit: four independent blocks per call.
+    let mut blocks = [block; 4];
+    group.throughput(Throughput::Bytes(64));
+    group.bench_function("aes128_4blocks", |b| {
+        b.iter(|| {
+            aes128.encrypt4(&mut blocks);
+            blocks[0][0]
+        })
+    });
+    // 64 bytes is one 4-block batch: the affine_gather chunk size.
+    for size in [64usize, 512, 4096] {
         let mut buf = vec![0u8; size];
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::new("ctr", size), &size, |b, _| {

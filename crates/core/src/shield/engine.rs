@@ -6,6 +6,7 @@
 //! traffic flows through the (untrusted, interposable) Shell.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use shef_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
@@ -195,7 +196,11 @@ struct Line {
 pub struct EngineSet {
     region: RegionConfig,
     tag_base: u64,
-    key: AuthEncKey,
+    /// Shared with every crypto batch: a job pays a refcount bump, not a
+    /// key-schedule copy.
+    key: Arc<AuthEncKey>,
+    /// `region.name`, shared the same way for the chunk AD.
+    name: Arc<str>,
     nonce: [u8; 8],
     lane: String,
     lines: HashMap<u32, Line>,
@@ -232,7 +237,8 @@ impl EngineSet {
         merkle_base: u64,
         dek: &DataEncryptionKey,
     ) -> Self {
-        let key = dek.region_key(&region);
+        let key = Arc::new(dek.region_key(&region));
+        let name = Arc::from(region.name.as_str());
         let nonce = dek.region_nonce(&region);
         let chunk = region.engine_set.chunk_size;
         let capacity_lines = if region.engine_set.buffer_bytes == 0 {
@@ -257,6 +263,7 @@ impl EngineSet {
             region,
             tag_base,
             key,
+            name,
             nonce,
             lines: HashMap::new(),
             lru: VecDeque::new(),
@@ -574,8 +581,7 @@ impl EngineSet {
         let Some(BatchJob::Seal { idx, epoch, data }) = plan.jobs[pos].take() else {
             unreachable!("pending_seal points at a staged seal job");
         };
-        let (ciphertext, tag) =
-            seal_chunk(&self.key, self.nonce, &self.region.name, idx, epoch, &data);
+        let (ciphertext, tag) = seal_chunk(&self.key, self.nonce, &self.name, idx, epoch, &data);
         ledger.add_busy(
             PORT_WRITE_LANE,
             Cycles(((ciphertext.len() + tag.len()) as u64).div_ceil(SHELL_PORT_BYTES_PER_CYCLE)),
@@ -606,7 +612,7 @@ impl EngineSet {
         let plaintext = match open_chunk(
             &self.key,
             self.nonce,
-            &self.region.name,
+            &self.name,
             idx,
             epoch,
             &ciphertext,
@@ -640,11 +646,10 @@ impl EngineSet {
     /// order. Jobs travel as `Arc`s so the retry copies are refcount
     /// bumps, not chunk memcpys.
     fn run_crypto_jobs(&mut self, pool: &WorkerPool, jobs: Vec<BatchJob>) -> Vec<BatchJobResult> {
-        let key = self.key.clone();
+        let key = Arc::clone(&self.key);
         let nonce = self.nonce;
-        let name = self.region.name.clone();
-        let jobs: Vec<std::sync::Arc<BatchJob>> =
-            jobs.into_iter().map(std::sync::Arc::new).collect();
+        let name = Arc::clone(&self.name);
+        let jobs: Vec<Arc<BatchJob>> = jobs.into_iter().map(Arc::new).collect();
         let fallback = jobs.clone();
         let outcome = pool.try_run(jobs, move |_, job| match &*job {
             BatchJob::Seal { idx, epoch, data } => {
@@ -675,14 +680,8 @@ impl EngineSet {
                 Some(r) => results.push(r),
                 None => match &*fallback[i] {
                     BatchJob::Seal { idx, epoch, data } => {
-                        let (ciphertext, tag) = seal_chunk(
-                            &self.key,
-                            self.nonce,
-                            &self.region.name,
-                            *idx,
-                            *epoch,
-                            data,
-                        );
+                        let (ciphertext, tag) =
+                            seal_chunk(&self.key, self.nonce, &self.name, *idx, *epoch, data);
                         self.stats.drained_seals += 1;
                         self.tele.drained_seals.inc();
                         results.push(BatchJobResult::Sealed {
@@ -1205,7 +1204,7 @@ mod tests {
     fn provision(es: &EngineSet, dram: &mut Dram, data: &[u8]) {
         let chunk = es.chunk_size();
         for (i, pt) in data.chunks(chunk).enumerate() {
-            let (ct, tag) = seal_chunk(&es.key, es.nonce, &es.region.name, i as u32, 0, pt);
+            let (ct, tag) = seal_chunk(&es.key, es.nonce, &es.name, i as u32, 0, pt);
             dram.tamper_write(es.chunk_addr(i as u32), &ct);
             dram.tamper_write(es.tag_addr(i as u32), &tag);
         }

@@ -29,7 +29,7 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
-use shef_crypto::hmac::hmac_sha256_multi;
+use shef_crypto::hmac::HmacSha256Key;
 use shef_fpga::clock::{CostLedger, Cycles};
 use shef_fpga::dram::Dram;
 use shef_fpga::shell::Shell;
@@ -141,7 +141,9 @@ pub struct MerkleStats {
 /// the root out of sync with device memory.
 pub struct MerkleTree {
     cfg: MerkleConfig,
-    key: [u8; 32],
+    /// The region's tree key, pads pre-absorbed: every node digest is an
+    /// HMAC under this one long-lived key.
+    key: HmacSha256Key,
     base: u64,
     num_counters: u64,
     /// Level 0 = leaf blocks of counters; last level = single top block.
@@ -206,7 +208,7 @@ impl MerkleTree {
         };
         MerkleTree {
             cfg,
-            key,
+            key: HmacSha256Key::new(&key),
             base,
             num_counters,
             levels,
@@ -249,10 +251,9 @@ impl MerkleTree {
     }
 
     fn digest(&self, level: u8, index: u64, block: &[u8]) -> [u8; NODE_DIGEST_LEN] {
-        let full = hmac_sha256_multi(
-            &self.key,
-            &[NODE_LABEL, &[level], &index.to_be_bytes(), block],
-        );
+        let full = self
+            .key
+            .mac_multi(&[NODE_LABEL, &[level], &index.to_be_bytes(), block]);
         full[..NODE_DIGEST_LEN].try_into().expect("truncate to 16")
     }
 

@@ -1,12 +1,30 @@
-//! AES-128 / AES-256 block cipher (FIPS 197).
+//! AES-128 / AES-256 block cipher (FIPS 197), bitsliced and constant-time.
 //!
-//! This models the Shield's AES engine (§5.2.2): the engine "contains an
-//! internal 256-byte lookup table for the S-box" which can be "duplicated
-//! up to 16 times per engine, reducing the AES latency through parallel
-//! lookups at the cost of higher resource consumption". The software
-//! implementation here is correspondingly S-box based (no T-tables), and
-//! [`SBoxParallelism`] captures the duplication factor for the timing and
-//! area models in `shef-core`.
+//! The Shield's AES engine (§5.2.2) "contains an internal 256-byte lookup
+//! table for the S-box" which can be "duplicated up to 16 times per
+//! engine, reducing the AES latency through parallel lookups at the cost
+//! of higher resource consumption". [`SBoxParallelism`] models that
+//! duplication factor for the FPGA engine's timing and area in
+//! `shef-core`; it says nothing about how this host code runs.
+//!
+//! The host code is table-free. It follows the 64-bit bitsliced layout
+//! of BearSSL's `aes_ct64` (T. Pornin), the same family of technique as
+//! fixslicing (Adomnicai & Peyrin, "Fixslicing AES-like Ciphers", TCHES
+//! 2021): four blocks are transposed into eight `u64` words, one word
+//! per bit of every state byte, and each round runs on all four blocks
+//! at once. SubBytes is the Boyar–Peralta S-box circuit ("A new
+//! combinational logic minimization technique with applications to
+//! cryptology", SEA 2010) evaluated with AND/XOR on those words, so no
+//! memory access or branch depends on the key or the data — the host
+//! counterpart of §5.2's requirement that "the timing of Shield
+//! cryptographic engines does not depend on any confidential
+//! information". Decryption reuses the same circuit: the inverse S-box
+//! is the inverse affine map on both sides of the forward S-box, and the
+//! inverse linear layers are MixColumns³ and ShiftRows³.
+//!
+//! [`Aes::encrypt4`] is the core operation; callers with independent
+//! blocks (CTR, PMAC, GCM) feed it four at a time, and
+//! [`Aes::encrypt_block`]/[`Aes::decrypt_block`] are thin wrappers.
 //!
 //! # Example
 //!
@@ -17,43 +35,26 @@
 //! let ct = aes.encrypt_block(&[0u8; 16]);
 //! assert_eq!(aes.decrypt_block(&ct), [0u8; 16]);
 //! assert_eq!(aes.key_size(), AesKeySize::Aes128);
+//!
+//! let mut four = [[1u8; 16], [2; 16], [3; 16], [4; 16]];
+//! aes.encrypt4(&mut four);
+//! assert_eq!(four[0], aes.encrypt_block(&[1u8; 16]));
 //! ```
 
 /// Bytes in one AES block.
 pub const AES_BLOCK_LEN: usize = 16;
 
-const SBOX: [u8; 256] = [
-    0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
-    0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0, 0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0,
-    0xb7, 0xfd, 0x93, 0x26, 0x36, 0x3f, 0xf7, 0xcc, 0x34, 0xa5, 0xe5, 0xf1, 0x71, 0xd8, 0x31, 0x15,
-    0x04, 0xc7, 0x23, 0xc3, 0x18, 0x96, 0x05, 0x9a, 0x07, 0x12, 0x80, 0xe2, 0xeb, 0x27, 0xb2, 0x75,
-    0x09, 0x83, 0x2c, 0x1a, 0x1b, 0x6e, 0x5a, 0xa0, 0x52, 0x3b, 0xd6, 0xb3, 0x29, 0xe3, 0x2f, 0x84,
-    0x53, 0xd1, 0x00, 0xed, 0x20, 0xfc, 0xb1, 0x5b, 0x6a, 0xcb, 0xbe, 0x39, 0x4a, 0x4c, 0x58, 0xcf,
-    0xd0, 0xef, 0xaa, 0xfb, 0x43, 0x4d, 0x33, 0x85, 0x45, 0xf9, 0x02, 0x7f, 0x50, 0x3c, 0x9f, 0xa8,
-    0x51, 0xa3, 0x40, 0x8f, 0x92, 0x9d, 0x38, 0xf5, 0xbc, 0xb6, 0xda, 0x21, 0x10, 0xff, 0xf3, 0xd2,
-    0xcd, 0x0c, 0x13, 0xec, 0x5f, 0x97, 0x44, 0x17, 0xc4, 0xa7, 0x7e, 0x3d, 0x64, 0x5d, 0x19, 0x73,
-    0x60, 0x81, 0x4f, 0xdc, 0x22, 0x2a, 0x90, 0x88, 0x46, 0xee, 0xb8, 0x14, 0xde, 0x5e, 0x0b, 0xdb,
-    0xe0, 0x32, 0x3a, 0x0a, 0x49, 0x06, 0x24, 0x5c, 0xc2, 0xd3, 0xac, 0x62, 0x91, 0x95, 0xe4, 0x79,
-    0xe7, 0xc8, 0x37, 0x6d, 0x8d, 0xd5, 0x4e, 0xa9, 0x6c, 0x56, 0xf4, 0xea, 0x65, 0x7a, 0xae, 0x08,
-    0xba, 0x78, 0x25, 0x2e, 0x1c, 0xa6, 0xb4, 0xc6, 0xe8, 0xdd, 0x74, 0x1f, 0x4b, 0xbd, 0x8b, 0x8a,
-    0x70, 0x3e, 0xb5, 0x66, 0x48, 0x03, 0xf6, 0x0e, 0x61, 0x35, 0x57, 0xb9, 0x86, 0xc1, 0x1d, 0x9e,
-    0xe1, 0xf8, 0x98, 0x11, 0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
-    0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
-];
+/// Blocks processed by one call of the bitsliced core ([`Aes::encrypt4`]).
+pub(crate) const AES_PARALLEL_BLOCKS: usize = 4;
 
-const INV_SBOX: [u8; 256] = {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[SBOX[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-};
+/// Four AES blocks: the unit the bitsliced core works on.
+pub type Blocks4 = [[u8; AES_BLOCK_LEN]; AES_PARALLEL_BLOCKS];
 
-const RCON: [u8; 15] = [
-    0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36, 0x6c, 0xd8, 0xab, 0x4d, 0x9a,
-];
+/// Round constants, indexed by the (public) key-schedule step.
+const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
+
+/// Round keys for the largest variant (AES-256: 14 rounds + 1).
+const MAX_ROUND_KEYS: usize = 15;
 
 /// AES key size, selectable per Shield engine set at bitstream compile time
 /// ("users are also able to configure the AES key size (128 or 256 bits)
@@ -141,10 +142,14 @@ impl core::fmt::Display for SBoxParallelism {
     }
 }
 
-/// An AES cipher instance with an expanded key schedule.
+/// An AES cipher instance with an expanded, bitsliced key schedule.
+///
+/// Each round key is stored transposed into the bitsliced layout and
+/// compressed from eight words to two; AddRoundKey expands it back on
+/// the fly. A whole schedule is 240 bytes, held inline.
 #[derive(Clone)]
 pub struct Aes {
-    round_keys: Vec<[u8; 16]>,
+    round_keys: [CompressedRoundKey; MAX_ROUND_KEYS],
     key_size: AesKeySize,
 }
 
@@ -187,173 +192,403 @@ impl Aes {
         self.key_size
     }
 
+    /// FIPS 197 key expansion on little-endian words, with SubWord on the
+    /// bitsliced S-box circuit.
     fn expand(key: &[u8], key_size: AesKeySize) -> Self {
         let nk = key.len() / 4; // words in key: 4 or 8
         let rounds = key_size.rounds();
         let total_words = 4 * (rounds + 1);
-        let mut w: Vec<[u8; 4]> = Vec::with_capacity(total_words);
-        for chunk in key.chunks_exact(4) {
-            w.push(chunk.try_into().expect("4-byte word"));
+        let mut w = [0u32; 4 * MAX_ROUND_KEYS];
+        for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
+            *word = u32::from_le_bytes(bytes.try_into().expect("4-byte word"));
         }
         for i in nk..total_words {
             let mut temp = w[i - 1];
             if i % nk == 0 {
-                temp.rotate_left(1);
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
-                temp[0] ^= RCON[i / nk - 1];
+                temp = sub_word(temp.rotate_right(8)) ^ u32::from(RCON[i / nk - 1]);
             } else if nk > 6 && i % nk == 4 {
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
+                temp = sub_word(temp);
             }
-            let prev = w[i - nk];
-            w.push([
-                prev[0] ^ temp[0],
-                prev[1] ^ temp[1],
-                prev[2] ^ temp[2],
-                prev[3] ^ temp[3],
-            ]);
+            w[i] = w[i - nk] ^ temp;
         }
-        let round_keys = w
-            .chunks_exact(4)
-            .map(|ws| {
-                let mut rk = [0u8; 16];
-                for (i, word) in ws.iter().enumerate() {
-                    rk[i * 4..i * 4 + 4].copy_from_slice(word);
-                }
-                rk
-            })
-            .collect();
+        let mut round_keys = [[0u64; 2]; MAX_ROUND_KEYS];
+        for (rk, words) in round_keys.iter_mut().zip(w[..total_words].chunks_exact(4)) {
+            let words: [u32; 4] = words.try_into().expect("4 words per round key");
+            *rk = compress_round_key(&bitslice_words([words; AES_PARALLEL_BLOCKS]));
+        }
         Aes {
             round_keys,
             key_size,
         }
     }
 
-    /// Encrypts one 16-byte block.
+    /// Encrypts four independent blocks in place — the bitsliced core.
+    pub fn encrypt4(&self, blocks: &mut Blocks4) {
+        let rounds = self.key_size.rounds();
+        let mut q = load(blocks);
+        add_round_key(&mut q, &self.round_keys[0]);
+        for rk in &self.round_keys[1..rounds] {
+            sub_bytes(&mut q);
+            shift_rows(&mut q);
+            mix_columns(&mut q);
+            add_round_key(&mut q, rk);
+        }
+        sub_bytes(&mut q);
+        shift_rows(&mut q);
+        add_round_key(&mut q, &self.round_keys[rounds]);
+        store(q, blocks);
+    }
+
+    /// Decrypts four independent blocks in place.
+    pub fn decrypt4(&self, blocks: &mut Blocks4) {
+        let rounds = self.key_size.rounds();
+        let mut q = load(blocks);
+        add_round_key(&mut q, &self.round_keys[rounds]);
+        for rk in self.round_keys[1..rounds].iter().rev() {
+            inv_shift_rows(&mut q);
+            inv_sub_bytes(&mut q);
+            add_round_key(&mut q, rk);
+            inv_mix_columns(&mut q);
+        }
+        inv_shift_rows(&mut q);
+        inv_sub_bytes(&mut q);
+        add_round_key(&mut q, &self.round_keys[0]);
+        store(q, blocks);
+    }
+
+    /// Encrypts one 16-byte block (one slot of [`Aes::encrypt4`]).
     #[must_use]
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let rounds = self.key_size.rounds();
-        let mut state = *block;
-        xor_in_place(&mut state, &self.round_keys[0]);
-        for round in 1..rounds {
-            sub_bytes(&mut state);
-            shift_rows(&mut state);
-            mix_columns(&mut state);
-            xor_in_place(&mut state, &self.round_keys[round]);
-        }
-        sub_bytes(&mut state);
-        shift_rows(&mut state);
-        xor_in_place(&mut state, &self.round_keys[rounds]);
-        state
+        let mut blocks = [*block, [0; 16], [0; 16], [0; 16]];
+        self.encrypt4(&mut blocks);
+        blocks[0]
     }
 
-    /// Decrypts one 16-byte block.
+    /// Decrypts one 16-byte block (one slot of [`Aes::decrypt4`]).
     #[must_use]
     pub fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let rounds = self.key_size.rounds();
-        let mut state = *block;
-        xor_in_place(&mut state, &self.round_keys[rounds]);
-        inv_shift_rows(&mut state);
-        inv_sub_bytes(&mut state);
-        for round in (1..rounds).rev() {
-            xor_in_place(&mut state, &self.round_keys[round]);
-            inv_mix_columns(&mut state);
-            inv_shift_rows(&mut state);
-            inv_sub_bytes(&mut state);
+        let mut blocks = [*block, [0; 16], [0; 16], [0; 16]];
+        self.decrypt4(&mut blocks);
+        blocks[0]
+    }
+}
+
+// ---------------------------------------------------------------------
+// Bitsliced layout. After `load`, bit `b` of every state byte of all four
+// blocks lives in word `q[b]`; within a word, the 64 bits cover the 16
+// bytes of 4 blocks. The packing (interleave + 8x8 transpose) and the
+// ShiftRows/MixColumns word permutations follow BearSSL `aes_ct64`.
+// ---------------------------------------------------------------------
+
+/// Swaps the `ch` bits of `q[i]` with the `cl` bits of `q[j]`, `s` apart.
+fn swap_bits(q: &mut [u64; 8], i: usize, j: usize, cl: u64, s: u32) {
+    let (a, b) = (q[i], q[j]);
+    let ch = !cl;
+    q[i] = (a & cl) | ((b & cl) << s);
+    q[j] = ((a & ch) >> s) | (b & ch);
+}
+
+/// 8x8 bit-matrix transpose across the eight words (an involution).
+fn ortho(q: &mut [u64; 8]) {
+    const M1: u64 = 0x5555_5555_5555_5555;
+    const M2: u64 = 0x3333_3333_3333_3333;
+    const M4: u64 = 0x0f0f_0f0f_0f0f_0f0f;
+    for i in (0..8).step_by(2) {
+        swap_bits(q, i, i + 1, M1, 1);
+    }
+    for (i, j) in [(0, 2), (1, 3), (4, 6), (5, 7)] {
+        swap_bits(q, i, j, M2, 2);
+    }
+    for i in 0..4 {
+        swap_bits(q, i, i + 4, M4, 4);
+    }
+}
+
+/// Spreads one block's four little-endian words over two words so that
+/// `ortho` can transpose them.
+fn interleave_in(w: [u32; 4]) -> (u64, u64) {
+    let spread = |x: u32| {
+        let mut x = u64::from(x);
+        x |= x << 16;
+        x &= 0x0000_ffff_0000_ffff;
+        x |= x << 8;
+        x & 0x00ff_00ff_00ff_00ff
+    };
+    let [x0, x1, x2, x3] = w.map(spread);
+    (x0 | (x2 << 8), x1 | (x3 << 8))
+}
+
+/// Inverse of [`interleave_in`].
+fn interleave_out(q0: u64, q1: u64) -> [u32; 4] {
+    let gather = |x: u64| {
+        let mut x = x & 0x00ff_00ff_00ff_00ff;
+        x |= x >> 8;
+        x &= 0x0000_ffff_0000_ffff;
+        (x as u32) | ((x >> 16) as u32)
+    };
+    [gather(q0), gather(q1), gather(q0 >> 8), gather(q1 >> 8)]
+}
+
+fn bitslice_words(words: [[u32; 4]; AES_PARALLEL_BLOCKS]) -> [u64; 8] {
+    let mut q = [0u64; 8];
+    for (i, w) in words.into_iter().enumerate() {
+        (q[i], q[i + 4]) = interleave_in(w);
+    }
+    ortho(&mut q);
+    q
+}
+
+fn load(blocks: &Blocks4) -> [u64; 8] {
+    bitslice_words(blocks.map(|b| {
+        core::array::from_fn(|j| u32::from_le_bytes(b[4 * j..4 * j + 4].try_into().expect("word")))
+    }))
+}
+
+fn store(mut q: [u64; 8], blocks: &mut Blocks4) {
+    ortho(&mut q);
+    for (i, block) in blocks.iter_mut().enumerate() {
+        let w = interleave_out(q[i], q[i + 4]);
+        for (bytes, word) in block.chunks_exact_mut(4).zip(w) {
+            bytes.copy_from_slice(&word.to_le_bytes());
         }
-        xor_in_place(&mut state, &self.round_keys[0]);
-        state
     }
 }
 
-fn xor_in_place(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for (s, k) in state.iter_mut().zip(rk.iter()) {
-        *s ^= k;
-    }
+/// A bitsliced round key in two words: bits 0–3 of every key byte in the
+/// first, bits 4–7 in the second.
+type CompressedRoundKey = [u64; 2];
+
+/// In each bit-plane word, a byte position owns one nibble whose four
+/// bits are the four block slots. A round key is the same in every slot,
+/// so one bit per nibble suffices: plane `b` keeps only slot `b % 4`, and
+/// four planes share a word (BearSSL `br_aes_ct64_keysched`).
+fn compress_round_key(q: &[u64; 8]) -> CompressedRoundKey {
+    let pick = |p: &[u64]| {
+        (p[0] & 0x1111_1111_1111_1111)
+            | (p[1] & 0x2222_2222_2222_2222)
+            | (p[2] & 0x4444_4444_4444_4444)
+            | (p[3] & 0x8888_8888_8888_8888)
+    };
+    [pick(&q[..4]), pick(&q[4..])]
 }
 
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
-// State layout is column-major as in FIPS 197: byte i is row i%4, col i/4.
-fn shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for row in 1..4 {
-        for col in 0..4 {
-            state[row + 4 * col] = s[row + 4 * ((col + row) % 4)];
+/// XORs a round key into the state, copying each kept slot bit back
+/// across its nibble (`bit * 0xf`).
+fn add_round_key(q: &mut [u64; 8], rk: &CompressedRoundKey) {
+    for (planes, &packed) in q.chunks_exact_mut(4).zip(rk) {
+        for (b, x) in planes.iter_mut().enumerate() {
+            *x ^= ((packed >> b) & 0x1111_1111_1111_1111) * 0xf;
         }
     }
 }
 
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for row in 1..4 {
-        for col in 0..4 {
-            state[row + 4 * ((col + row) % 4)] = s[row + 4 * col];
-        }
+/// SubWord of the key schedule: one word through the S-box circuit.
+fn sub_word(x: u32) -> u32 {
+    let mut q = [0u64; 8];
+    q[0] = u64::from(x);
+    ortho(&mut q);
+    sub_bytes(&mut q);
+    ortho(&mut q);
+    q[0] as u32
+}
+
+/// The AES S-box on all 128 bytes at once: the Boyar–Peralta circuit
+/// (113 gates: 32 AND, 81 XOR/XNOR). `x0` is the high bit of each byte.
+fn sub_bytes(q: &mut [u64; 8]) {
+    let [x7, x6, x5, x4, x3, x2, x1, x0] = *q;
+
+    // Top linear transformation.
+    let y14 = x3 ^ x5;
+    let y13 = x0 ^ x6;
+    let y9 = x0 ^ x3;
+    let y8 = x0 ^ x5;
+    let t0 = x1 ^ x2;
+    let y1 = t0 ^ x7;
+    let y4 = y1 ^ x3;
+    let y12 = y13 ^ y14;
+    let y2 = y1 ^ x0;
+    let y5 = y1 ^ x6;
+    let y3 = y5 ^ y8;
+    let t1 = x4 ^ y12;
+    let y15 = t1 ^ x5;
+    let y20 = t1 ^ x1;
+    let y6 = y15 ^ x7;
+    let y10 = y15 ^ t0;
+    let y11 = y20 ^ y9;
+    let y7 = x7 ^ y11;
+    let y17 = y10 ^ y11;
+    let y19 = y10 ^ y8;
+    let y16 = t0 ^ y11;
+    let y21 = y13 ^ y16;
+    let y18 = x0 ^ y16;
+
+    // Non-linear section: inversion in GF(2^8) via GF(2^4).
+    let t2 = y12 & y15;
+    let t3 = y3 & y6;
+    let t4 = t3 ^ t2;
+    let t5 = y4 & x7;
+    let t6 = t5 ^ t2;
+    let t7 = y13 & y16;
+    let t8 = y5 & y1;
+    let t9 = t8 ^ t7;
+    let t10 = y2 & y7;
+    let t11 = t10 ^ t7;
+    let t12 = y9 & y11;
+    let t13 = y14 & y17;
+    let t14 = t13 ^ t12;
+    let t15 = y8 & y10;
+    let t16 = t15 ^ t12;
+    let t17 = t4 ^ t14;
+    let t18 = t6 ^ t16;
+    let t19 = t9 ^ t14;
+    let t20 = t11 ^ t16;
+    let t21 = t17 ^ y20;
+    let t22 = t18 ^ y19;
+    let t23 = t19 ^ y21;
+    let t24 = t20 ^ y18;
+
+    let t25 = t21 ^ t22;
+    let t26 = t21 & t23;
+    let t27 = t24 ^ t26;
+    let t28 = t25 & t27;
+    let t29 = t28 ^ t22;
+    let t30 = t23 ^ t24;
+    let t31 = t22 ^ t26;
+    let t32 = t31 & t30;
+    let t33 = t32 ^ t24;
+    let t34 = t23 ^ t33;
+    let t35 = t27 ^ t33;
+    let t36 = t24 & t35;
+    let t37 = t36 ^ t34;
+    let t38 = t27 ^ t36;
+    let t39 = t29 & t38;
+    let t40 = t25 ^ t39;
+
+    let t41 = t40 ^ t37;
+    let t42 = t29 ^ t33;
+    let t43 = t29 ^ t40;
+    let t44 = t33 ^ t37;
+    let t45 = t42 ^ t41;
+    let z0 = t44 & y15;
+    let z1 = t37 & y6;
+    let z2 = t33 & x7;
+    let z3 = t43 & y16;
+    let z4 = t40 & y1;
+    let z5 = t29 & y7;
+    let z6 = t42 & y11;
+    let z7 = t45 & y17;
+    let z8 = t41 & y10;
+    let z9 = t44 & y12;
+    let z10 = t37 & y3;
+    let z11 = t33 & y4;
+    let z12 = t43 & y13;
+    let z13 = t40 & y5;
+    let z14 = t29 & y2;
+    let z15 = t42 & y9;
+    let z16 = t45 & y14;
+    let z17 = t41 & y8;
+
+    // Bottom linear transformation.
+    let t46 = z15 ^ z16;
+    let t47 = z10 ^ z11;
+    let t48 = z5 ^ z13;
+    let t49 = z9 ^ z10;
+    let t50 = z2 ^ z12;
+    let t51 = z2 ^ z5;
+    let t52 = z7 ^ z8;
+    let t53 = z0 ^ z3;
+    let t54 = z6 ^ z7;
+    let t55 = z16 ^ z17;
+    let t56 = z12 ^ t48;
+    let t57 = t50 ^ t53;
+    let t58 = z4 ^ t46;
+    let t59 = z3 ^ t54;
+    let t60 = t46 ^ t57;
+    let t61 = z14 ^ t57;
+    let t62 = t52 ^ t58;
+    let t63 = t49 ^ t58;
+    let t64 = z4 ^ t59;
+    let t65 = t61 ^ t62;
+    let t66 = z1 ^ t63;
+    let s0 = t59 ^ t63;
+    let s6 = t56 ^ !t62;
+    let s7 = t48 ^ !t60;
+    let t67 = t64 ^ t65;
+    let s3 = t53 ^ t66;
+    let s4 = t51 ^ t66;
+    let s5 = t47 ^ t65;
+    let s1 = t64 ^ !s3;
+    let s2 = t55 ^ !t67;
+
+    *q = [s7, s6, s5, s4, s3, s2, s1, s0];
+}
+
+/// `y ↦ A⁻¹(y ⊕ 0x63)`, the inverse of the S-box's affine output map.
+/// It takes the S-box to field inversion: `inv(x) = f(S(x))`.
+fn inv_affine(q: &mut [u64; 8]) {
+    let [q0, q1, q2, q3, q4, q5, q6, q7] = *q;
+    let (q0, q1, q5, q6) = (!q0, !q1, !q5, !q6);
+    *q = [
+        q2 ^ q5 ^ q7,
+        q3 ^ q6 ^ q0,
+        q4 ^ q7 ^ q1,
+        q5 ^ q0 ^ q2,
+        q6 ^ q1 ^ q3,
+        q7 ^ q2 ^ q4,
+        q0 ^ q3 ^ q5,
+        q1 ^ q4 ^ q6,
+    ];
+}
+
+/// `S⁻¹ = f ∘ S ∘ f` with `f` = [`inv_affine`]: the forward circuit in an
+/// affine sandwich.
+fn inv_sub_bytes(q: &mut [u64; 8]) {
+    inv_affine(q);
+    sub_bytes(q);
+    inv_affine(q);
+}
+
+fn shift_rows(q: &mut [u64; 8]) {
+    for x in q.iter_mut() {
+        let v = *x;
+        *x = (v & 0x0000_0000_0000_ffff)
+            | ((v & 0x0000_0000_fff0_0000) >> 4)
+            | ((v & 0x0000_0000_000f_0000) << 12)
+            | ((v & 0x0000_ff00_0000_0000) >> 8)
+            | ((v & 0x0000_00ff_0000_0000) << 8)
+            | ((v & 0xf000_0000_0000_0000) >> 12)
+            | ((v & 0x0fff_0000_0000_0000) << 4);
     }
 }
 
-/// Multiplication in GF(2^8) with the AES polynomial 0x11b.
-#[must_use]
-pub fn gf_mul(mut a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    for _ in 0..8 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        let hi = a & 0x80;
-        a <<= 1;
-        if hi != 0 {
-            a ^= 0x1b;
-        }
-        b >>= 1;
-    }
-    p
-}
-
-fn mix_columns(state: &mut [u8; 16]) {
-    for col in 0..4 {
-        let c = [
-            state[4 * col],
-            state[4 * col + 1],
-            state[4 * col + 2],
-            state[4 * col + 3],
-        ];
-        state[4 * col] = gf_mul(c[0], 2) ^ gf_mul(c[1], 3) ^ c[2] ^ c[3];
-        state[4 * col + 1] = c[0] ^ gf_mul(c[1], 2) ^ gf_mul(c[2], 3) ^ c[3];
-        state[4 * col + 2] = c[0] ^ c[1] ^ gf_mul(c[2], 2) ^ gf_mul(c[3], 3);
-        state[4 * col + 3] = gf_mul(c[0], 3) ^ c[1] ^ c[2] ^ gf_mul(c[3], 2);
+/// ShiftRows has order 4, so its inverse is ShiftRows³.
+fn inv_shift_rows(q: &mut [u64; 8]) {
+    for _ in 0..3 {
+        shift_rows(q);
     }
 }
 
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for col in 0..4 {
-        let c = [
-            state[4 * col],
-            state[4 * col + 1],
-            state[4 * col + 2],
-            state[4 * col + 3],
-        ];
-        state[4 * col] = gf_mul(c[0], 14) ^ gf_mul(c[1], 11) ^ gf_mul(c[2], 13) ^ gf_mul(c[3], 9);
-        state[4 * col + 1] =
-            gf_mul(c[0], 9) ^ gf_mul(c[1], 14) ^ gf_mul(c[2], 11) ^ gf_mul(c[3], 13);
-        state[4 * col + 2] =
-            gf_mul(c[0], 13) ^ gf_mul(c[1], 9) ^ gf_mul(c[2], 14) ^ gf_mul(c[3], 11);
-        state[4 * col + 3] =
-            gf_mul(c[0], 11) ^ gf_mul(c[1], 13) ^ gf_mul(c[2], 9) ^ gf_mul(c[3], 14);
+fn mix_columns(q: &mut [u64; 8]) {
+    let rotr32 = |x: u64| x.rotate_left(32);
+    let [q0, q1, q2, q3, q4, q5, q6, q7] = *q;
+    let [r0, r1, r2, r3, r4, r5, r6, r7] = q.map(|x| x.rotate_right(16));
+    *q = [
+        q7 ^ r7 ^ r0 ^ rotr32(q0 ^ r0),
+        q0 ^ r0 ^ q7 ^ r7 ^ r1 ^ rotr32(q1 ^ r1),
+        q1 ^ r1 ^ r2 ^ rotr32(q2 ^ r2),
+        q2 ^ r2 ^ q7 ^ r7 ^ r3 ^ rotr32(q3 ^ r3),
+        q3 ^ r3 ^ q7 ^ r7 ^ r4 ^ rotr32(q4 ^ r4),
+        q4 ^ r4 ^ r5 ^ rotr32(q5 ^ r5),
+        q5 ^ r5 ^ r6 ^ rotr32(q6 ^ r6),
+        q6 ^ r6 ^ r7 ^ rotr32(q7 ^ r7),
+    ];
+}
+
+/// The MixColumns matrix has order 4 over GF(2^8), so its inverse is
+/// MixColumns³.
+fn inv_mix_columns(q: &mut [u64; 8]) {
+    for _ in 0..3 {
+        mix_columns(q);
     }
 }
 
@@ -442,6 +677,33 @@ mod tests {
     }
 
     #[test]
+    fn layout_round_trips_and_ortho_is_an_involution() {
+        let blocks: Blocks4 =
+            core::array::from_fn(|i| core::array::from_fn(|j| (i * 16 + j) as u8));
+        let mut out = [[0u8; 16]; 4];
+        store(load(&blocks), &mut out);
+        assert_eq!(out, blocks);
+        let mut q = [0x0123_4567_89ab_cdefu64, 1, 2, 3, 4, 5, 6, u64::MAX];
+        let original = q;
+        ortho(&mut q);
+        ortho(&mut q);
+        assert_eq!(q, original);
+    }
+
+    #[test]
+    fn sbox_circuit_known_values() {
+        // FIPS 197 Figure 7 spot checks, through the bitsliced circuit.
+        for (x, s) in [(0x00u8, 0x63u8), (0x01, 0x7c), (0x53, 0xed), (0xff, 0x16)] {
+            let word = u32::from_le_bytes([x, x, x, x]);
+            assert_eq!(
+                sub_word(word),
+                u32::from_le_bytes([s, s, s, s]),
+                "S({x:#04x})"
+            );
+        }
+    }
+
+    #[test]
     fn sbox_parallelism_cycles() {
         assert_eq!(SBoxParallelism::X4.cycles_per_round(), 4);
         assert_eq!(SBoxParallelism::X16.cycles_per_round(), 1);
@@ -456,13 +718,5 @@ mod tests {
             !dbg.contains("aa"),
             "debug output must not contain key bytes: {dbg}"
         );
-    }
-
-    #[test]
-    fn gf_mul_known_values() {
-        assert_eq!(gf_mul(0x57, 0x83), 0xc1);
-        assert_eq!(gf_mul(0x57, 0x13), 0xfe);
-        assert_eq!(gf_mul(1, 0xab), 0xab);
-        assert_eq!(gf_mul(0, 0xab), 0);
     }
 }

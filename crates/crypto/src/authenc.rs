@@ -13,10 +13,10 @@
 
 use crate::aes::{Aes, AesKeySize};
 use crate::ctr::{ctr_xor, ChunkIv, IV_LEN};
-use crate::ghash;
+use crate::gcm::AesGcm;
 use crate::hkdf;
-use crate::hmac::hmac_sha256_multi;
-use crate::pmac::pmac_multi;
+use crate::hmac::HmacSha256Key;
+use crate::pmac::pmac_multi_with_l;
 use crate::{ct, CryptoError};
 
 /// Tag length stored alongside each chunk.
@@ -94,21 +94,30 @@ impl Sealed {
 ///
 /// Internally derives independent encryption and MAC subkeys from the
 /// master key via HKDF, as a hardware Shield would provision separate
-/// keys into its AES and MAC engines.
+/// keys into its AES and MAC engines. Everything that depends only on
+/// the key is computed once here: the bitsliced AES schedules, the HMAC
+/// pad midstates, and PMAC's `L` / GHASH's `H` (both `E_K(0¹²⁸)` under
+/// the MAC-AES key).
 #[derive(Clone)]
 pub struct AuthEncKey {
     enc: Aes,
-    mac_key: [u8; 32],
-    mac_aes: Aes,
-    algorithm: MacAlgorithm,
+    mac: MacEngine,
     seal_counter: u64,
     master: [u8; 32],
+}
+
+/// The provisioned MAC engine, one variant per [`MacAlgorithm`].
+#[derive(Clone)]
+enum MacEngine {
+    Hmac(HmacSha256Key),
+    Pmac { aes: Aes, l: [u8; 16] },
+    Gcm(AesGcm),
 }
 
 impl core::fmt::Debug for AuthEncKey {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("AuthEncKey")
-            .field("algorithm", &self.algorithm)
+            .field("algorithm", &self.algorithm())
             .finish_non_exhaustive()
     }
 }
@@ -126,12 +135,19 @@ impl AuthEncKey {
     pub fn with_key_size(master: [u8; 32], algorithm: MacAlgorithm, key_size: AesKeySize) -> Self {
         let enc_key = hkdf::derive(&[], &master, b"shef.authenc.enc", key_size.key_len());
         let mac_key = hkdf::derive_key32(&[], &master, b"shef.authenc.mac");
-        let mac_aes_key: [u8; 16] = mac_key[..16].try_into().expect("16 bytes");
+        let mac_aes_key = &mac_key[..16];
+        let mac = match algorithm {
+            MacAlgorithm::HmacSha256 => MacEngine::Hmac(HmacSha256Key::new(&mac_key)),
+            MacAlgorithm::PmacAes => {
+                let aes = Aes::new(mac_aes_key);
+                let l = aes.encrypt_block(&[0u8; 16]);
+                MacEngine::Pmac { aes, l }
+            }
+            MacAlgorithm::AesGcm => MacEngine::Gcm(AesGcm::new(mac_aes_key)),
+        };
         AuthEncKey {
             enc: Aes::new(&enc_key),
-            mac_key,
-            mac_aes: Aes::new_128(&mac_aes_key),
-            algorithm,
+            mac,
             seal_counter: 0,
             master,
         }
@@ -140,7 +156,11 @@ impl AuthEncKey {
     /// The MAC algorithm in use.
     #[must_use]
     pub fn algorithm(&self) -> MacAlgorithm {
-        self.algorithm
+        match self.mac {
+            MacEngine::Hmac(_) => MacAlgorithm::HmacSha256,
+            MacEngine::Pmac { .. } => MacAlgorithm::PmacAes,
+            MacEngine::Gcm(_) => MacAlgorithm::AesGcm,
+        }
     }
 
     /// Raw master key bytes (needed when a key must be provisioned into a
@@ -169,13 +189,26 @@ impl AuthEncKey {
     #[must_use]
     pub fn seal_with_iv(&self, plaintext: &[u8], associated_data: &[u8], iv: ChunkIv) -> Sealed {
         let mut ciphertext = plaintext.to_vec();
-        ctr_xor(&self.enc, &iv, &mut ciphertext);
-        let tag = self.compute_tag(associated_data, &iv.0, &ciphertext);
+        let tag = self.seal_in_place(associated_data, iv, &mut ciphertext);
         Sealed {
             iv: iv.0,
             ciphertext,
             tag,
         }
+    }
+
+    /// Encrypts `buf` in place under `iv` and returns the tag over
+    /// `associated_data || iv || ciphertext` — [`Self::seal_with_iv`]
+    /// without the copy.
+    #[must_use]
+    pub fn seal_in_place(
+        &self,
+        associated_data: &[u8],
+        iv: ChunkIv,
+        buf: &mut [u8],
+    ) -> [u8; TAG_LEN] {
+        ctr_xor(&self.enc, &iv, buf);
+        self.compute_tag(associated_data, &iv.0, buf)
     }
 
     /// Opens a sealed message, verifying its tag against
@@ -186,45 +219,57 @@ impl AuthEncKey {
     /// Returns [`CryptoError::TagMismatch`] if authentication fails; no
     /// plaintext is released in that case.
     pub fn open(&self, sealed: &Sealed, associated_data: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        let expected = self.compute_tag(associated_data, &sealed.iv, &sealed.ciphertext);
-        if !ct::eq(&expected, &sealed.tag) {
+        let mut plaintext = sealed.ciphertext.clone();
+        self.open_in_place(
+            associated_data,
+            ChunkIv(sealed.iv),
+            &mut plaintext,
+            &sealed.tag,
+        )?;
+        Ok(plaintext)
+    }
+
+    /// Verifies `tag` over `associated_data || iv || buf`, then decrypts
+    /// `buf` in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::TagMismatch`] if authentication fails; `buf`
+    /// is left holding the untouched ciphertext, so no plaintext is
+    /// released.
+    pub fn open_in_place(
+        &self,
+        associated_data: &[u8],
+        iv: ChunkIv,
+        buf: &mut [u8],
+        tag: &[u8; TAG_LEN],
+    ) -> Result<(), CryptoError> {
+        let expected = self.compute_tag(associated_data, &iv.0, buf);
+        if !ct::eq(&expected, tag) {
             return Err(CryptoError::TagMismatch);
         }
-        let mut plaintext = sealed.ciphertext.clone();
-        ctr_xor(&self.enc, &ChunkIv(sealed.iv), &mut plaintext);
-        Ok(plaintext)
+        ctr_xor(&self.enc, &iv, buf);
+        Ok(())
     }
 
     /// Computes the 16-byte tag over `ad || iv || ciphertext`.
     #[must_use]
     pub fn compute_tag(&self, ad: &[u8], iv: &[u8; IV_LEN], ciphertext: &[u8]) -> [u8; TAG_LEN] {
-        match self.algorithm {
-            MacAlgorithm::HmacSha256 => {
-                let full = hmac_sha256_multi(&self.mac_key, &[ad, iv, ciphertext]);
+        match &self.mac {
+            MacEngine::Hmac(key) => {
+                let full = key.mac_multi(&[ad, iv, ciphertext]);
                 full[..TAG_LEN].try_into().expect("truncate to 16")
             }
-            MacAlgorithm::PmacAes => {
+            MacEngine::Pmac { aes, l } => {
                 // Length-prefix the associated data so (ad, ct) boundaries
                 // are unambiguous.
                 let len = (ad.len() as u64).to_be_bytes();
-                pmac_multi(&self.mac_aes, &[&len, ad, iv, ciphertext])
+                pmac_multi_with_l(aes, l, &[&len, ad, iv, ciphertext])
             }
-            MacAlgorithm::AesGcm => {
-                // GCM tag composition over the already-produced CTR
-                // ciphertext: T = E_K(J0(iv)) ⊕ GHASH_H(ad, ct), with
-                // H = E_K(0^128) from the dedicated MAC-AES engine.
-                let h = self.mac_aes.encrypt_block(&[0u8; 16]);
-                let s = ghash::ghash(&h, ad, ciphertext);
-                let mut j0 = [0u8; 16];
-                j0[..IV_LEN].copy_from_slice(iv);
-                j0[15] = 1;
-                let mask = self.mac_aes.encrypt_block(&j0);
-                let mut tag = [0u8; TAG_LEN];
-                for i in 0..TAG_LEN {
-                    tag[i] = s[i] ^ mask[i];
-                }
-                tag
-            }
+            // GCM tag composition over the already-produced CTR
+            // ciphertext: T = E_K(J0(iv)) ⊕ GHASH_H(ad, ct), with
+            // H = E_K(0^128) from the dedicated MAC-AES engine.
+            MacEngine::Gcm(gcm) => gcm.tag(iv, ad, ciphertext),
         }
     }
 }

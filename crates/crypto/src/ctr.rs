@@ -21,7 +21,7 @@
 //! assert_eq!(&data, b"shield chunk payload");
 //! ```
 
-use crate::aes::{Aes, AES_BLOCK_LEN};
+use crate::aes::{Aes, Blocks4, AES_BLOCK_LEN, AES_PARALLEL_BLOCKS};
 
 /// Length of the CTR initialization vector in bytes.
 pub const IV_LEN: usize = 12;
@@ -76,12 +76,24 @@ impl ChunkIv {
 ///
 /// Encryption and decryption are the same operation.
 pub fn ctr_xor(aes: &Aes, iv: &ChunkIv, data: &mut [u8]) {
-    let mut counter_block = [0u8; AES_BLOCK_LEN];
-    counter_block[..IV_LEN].copy_from_slice(&iv.0);
-    for (block_idx, chunk) in data.chunks_mut(AES_BLOCK_LEN).enumerate() {
-        counter_block[IV_LEN..].copy_from_slice(&(block_idx as u32).to_be_bytes());
-        let keystream = aes.encrypt_block(&counter_block);
-        for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
+    ctr_xor_from(aes, &iv.0, 0, data);
+}
+
+/// XORs the keystream of counter blocks `iv || [first + i]₃₂` (big-endian,
+/// wrapping) into `data`, four counter blocks per call of the AES core.
+/// GCM's GCTR is the same loop starting at counter 2.
+pub(crate) fn ctr_xor_from(aes: &Aes, iv: &[u8; IV_LEN], first: u32, data: &mut [u8]) {
+    const GROUP: usize = AES_BLOCK_LEN * AES_PARALLEL_BLOCKS;
+    let mut counter = first;
+    for group in data.chunks_mut(GROUP) {
+        let mut keystream: Blocks4 = [[0u8; AES_BLOCK_LEN]; AES_PARALLEL_BLOCKS];
+        for block in &mut keystream {
+            block[..IV_LEN].copy_from_slice(iv);
+            block[IV_LEN..].copy_from_slice(&counter.to_be_bytes());
+            counter = counter.wrapping_add(1);
+        }
+        aes.encrypt4(&mut keystream);
+        for (d, k) in group.iter_mut().zip(keystream.as_flattened()) {
             *d ^= k;
         }
     }

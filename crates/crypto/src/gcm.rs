@@ -20,6 +20,7 @@
 //! ```
 
 use crate::aes::Aes;
+use crate::ctr::ctr_xor_from;
 use crate::ghash::{Ghash, GHASH_LEN};
 use crate::{ct, CryptoError};
 
@@ -31,6 +32,7 @@ pub const GCM_IV_LEN: usize = 12;
 pub const GCM_TAG_LEN: usize = 16;
 
 /// An AES-GCM key: the block cipher plus its derived hash subkey.
+#[derive(Clone)]
 pub struct AesGcm {
     aes: Aes,
     h: [u8; GHASH_LEN],
@@ -63,25 +65,21 @@ impl AesGcm {
         block
     }
 
-    /// 32-bit wrapping increment of the counter word (inc32).
-    fn inc32(block: &mut [u8; 16]) {
-        let ctr = u32::from_be_bytes(block[12..16].try_into().expect("4 bytes"));
-        block[12..16].copy_from_slice(&ctr.wrapping_add(1).to_be_bytes());
-    }
-
-    /// GCTR keystream application starting from `inc32(J0)`.
+    /// GCTR keystream application starting from `inc32(J0)`: the CTR
+    /// loop with the counter word starting at 2, four blocks per call.
     fn gctr(&self, iv: &[u8; GCM_IV_LEN], data: &mut [u8]) {
-        let mut counter = Self::j0(iv);
-        for chunk in data.chunks_mut(16) {
-            Self::inc32(&mut counter);
-            let keystream = self.aes.encrypt_block(&counter);
-            for (b, k) in chunk.iter_mut().zip(keystream.iter()) {
-                *b ^= k;
-            }
-        }
+        ctr_xor_from(&self.aes, iv, 2, data);
     }
 
-    fn tag(&self, iv: &[u8; GCM_IV_LEN], aad: &[u8], ciphertext: &[u8]) -> [u8; GCM_TAG_LEN] {
+    /// `E_K(J0) ⊕ GHASH_H(aad, ciphertext)`; also the tag of
+    /// [`MacAlgorithm::AesGcm`](crate::authenc::MacAlgorithm) over the
+    /// Shield's CTR ciphertext.
+    pub(crate) fn tag(
+        &self,
+        iv: &[u8; GCM_IV_LEN],
+        aad: &[u8],
+        ciphertext: &[u8],
+    ) -> [u8; GCM_TAG_LEN] {
         let mut hash = Ghash::new(&self.h);
         hash.update_padded(aad);
         hash.update_padded(ciphertext);

@@ -14,6 +14,8 @@
 //! block is the coefficient of x⁰), multiplication reduces modulo
 //! x¹²⁸ + x⁷ + x² + x + 1, and `GHASH_H(A, C)` processes the padded
 //! associated data, the padded ciphertext, and a final length block.
+//! The multiply is constant-time ([`gf128_mul`]): masked 64-bit integer
+//! multiplies, with no branch on the hashed data or on `H`.
 //!
 //! # Example
 //!
@@ -29,25 +31,66 @@
 /// Length in bytes of a GHASH output block.
 pub const GHASH_LEN: usize = 16;
 
+/// Carry-less 64x64 -> 64-bit multiply (low half), constant-time.
+///
+/// Each operand is split into four interleaved bit classes (every
+/// fourth bit), so the integer products never carry into a bit that is
+/// kept: after masking, each class of the result holds exactly the XOR
+/// of its partial products. This is BearSSL's `bmul64`.
+fn bmul64(x: u64, y: u64) -> u64 {
+    const M0: u64 = 0x1111_1111_1111_1111;
+    const M1: u64 = 0x2222_2222_2222_2222;
+    const M2: u64 = 0x4444_4444_4444_4444;
+    const M3: u64 = 0x8888_8888_8888_8888;
+    let (x0, x1, x2, x3) = (x & M0, x & M1, x & M2, x & M3);
+    let (y0, y1, y2, y3) = (y & M0, y & M1, y & M2, y & M3);
+    let m = u64::wrapping_mul;
+    let z0 = m(x0, y0) ^ m(x1, y3) ^ m(x2, y2) ^ m(x3, y1);
+    let z1 = m(x0, y1) ^ m(x1, y0) ^ m(x2, y3) ^ m(x3, y2);
+    let z2 = m(x0, y2) ^ m(x1, y1) ^ m(x2, y0) ^ m(x3, y3);
+    let z3 = m(x0, y3) ^ m(x1, y2) ^ m(x2, y1) ^ m(x3, y0);
+    (z0 & M0) | (z1 & M1) | (z2 & M2) | (z3 & M3)
+}
+
 /// Multiplies two elements of GF(2^128) in GCM's bit-reflected
-/// representation (Algorithm 1 of SP 800-38D).
+/// representation (the product Algorithm 1 of SP 800-38D defines).
+///
+/// Constant-time, after BearSSL's `ghash_ctmul64`: a Karatsuba
+/// carry-less 128x128 multiply from `bmul64` (the high halves come
+/// from the same multiplier on bit-reversed operands), then reduction
+/// modulo x¹²⁸ + x⁷ + x² + x + 1 with shifts and XORs only. No branch or
+/// memory index depends on either operand.
 #[must_use]
 pub fn gf128_mul(x: u128, y: u128) -> u128 {
-    // R = 11100001 || 0^120.
-    const R: u128 = 0xe1 << 120;
-    let mut z = 0u128;
-    let mut v = y;
-    for i in 0..128 {
-        if (x >> (127 - i)) & 1 == 1 {
-            z ^= v;
-        }
-        let lsb = v & 1;
-        v >>= 1;
-        if lsb == 1 {
-            v ^= R;
-        }
-    }
-    z
+    let (x1, x0) = ((x >> 64) as u64, x as u64);
+    let (y1, y0) = ((y >> 64) as u64, y as u64);
+    let (x0r, x1r) = (x0.reverse_bits(), x1.reverse_bits());
+    let (y0r, y1r) = (y0.reverse_bits(), y1.reverse_bits());
+    let (x2, x2r) = (x0 ^ x1, x0r ^ x1r);
+    let (y2, y2r) = (y0 ^ y1, y0r ^ y1r);
+
+    let z0 = bmul64(x0, y0);
+    let z1 = bmul64(x1, y1);
+    let z2 = bmul64(x2, y2) ^ z0 ^ z1;
+    let z0h = bmul64(x0r, y0r);
+    let z1h = bmul64(x1r, y1r);
+    let z2h = bmul64(x2r, y2r) ^ z0h ^ z1h;
+    let z0h = z0h.reverse_bits() >> 1;
+    let z1h = z1h.reverse_bits() >> 1;
+    let z2h = z2h.reverse_bits() >> 1;
+
+    // 256-bit product v3:v2:v1:v0, shifted left one bit for the
+    // reflected convention, then reduced.
+    let (mut v0, mut v1, mut v2, mut v3) = (z0, z0h ^ z2, z1 ^ z2h, z1h);
+    v3 = (v3 << 1) | (v2 >> 63);
+    v2 = (v2 << 1) | (v1 >> 63);
+    v1 = (v1 << 1) | (v0 >> 63);
+    v0 <<= 1;
+    v2 ^= v0 ^ (v0 >> 1) ^ (v0 >> 2) ^ (v0 >> 7);
+    v1 ^= (v0 << 63) ^ (v0 << 62) ^ (v0 << 57);
+    v3 ^= v1 ^ (v1 >> 1) ^ (v1 >> 2) ^ (v1 >> 7);
+    v2 ^= (v1 << 63) ^ (v1 << 62) ^ (v1 << 57);
+    (u128::from(v3) << 64) | u128::from(v2)
 }
 
 fn block_to_u128(block: &[u8]) -> u128 {

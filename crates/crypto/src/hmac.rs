@@ -30,27 +30,75 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
 /// Computes HMAC-SHA256 over the concatenation of `parts`.
 ///
 /// The Shield MACs `(address, ciphertext, counter)` tuples without
-/// materializing the concatenation; this mirrors that datapath.
+/// materializing the concatenation; this mirrors that datapath. Callers
+/// that MAC many messages under one key should hold an
+/// [`HmacSha256Key`] instead, which absorbs the pads once.
 #[must_use]
 pub fn hmac_sha256_multi(key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
-    let mut key_block = [0u8; SHA256_BLOCK_LEN];
-    if key.len() > SHA256_BLOCK_LEN {
-        key_block[..32].copy_from_slice(&Sha256::digest(key));
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
+    HmacSha256Key::new(key).mac_multi(parts)
+}
+
+/// An HMAC-SHA256 key with its pads pre-absorbed.
+///
+/// HMAC's first compression of both the inner and the outer hash depends
+/// only on the key (`K ⊕ ipad`, `K ⊕ opad`). This keeps the two hash
+/// states after those compressions (the midstates), so each tag costs the
+/// message compressions plus one outer compression — two fewer than
+/// [`hmac_sha256_multi`] — with byte-identical output.
+///
+/// # Example
+///
+/// ```
+/// use shef_crypto::hmac::{hmac_sha256_multi, HmacSha256Key};
+///
+/// let key = HmacSha256Key::new(b"region mac key");
+/// assert_eq!(
+///     key.mac_multi(&[b"ad", b"ciphertext"]),
+///     hmac_sha256_multi(b"region mac key", &[b"ad", b"ciphertext"])
+/// );
+/// ```
+#[derive(Clone)]
+pub struct HmacSha256Key {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl core::fmt::Debug for HmacSha256Key {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        // The midstates are key-equivalent: never print them.
+        f.debug_struct("HmacSha256Key").finish_non_exhaustive()
     }
-    let mut inner = Sha256::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
-    for part in parts {
-        inner.update(part);
+}
+
+impl HmacSha256Key {
+    /// Absorbs `key ⊕ ipad` and `key ⊕ opad` (hashing keys longer than
+    /// one block first, per RFC 2104).
+    #[must_use]
+    pub fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; SHA256_BLOCK_LEN];
+        if key.len() > SHA256_BLOCK_LEN {
+            key_block[..32].copy_from_slice(&Sha256::digest(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Sha256::new();
+        inner.update(&key_block.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&key_block.map(|b| b ^ 0x5c));
+        HmacSha256Key { inner, outer }
     }
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+
+    /// HMAC-SHA256 over the concatenation of `parts`.
+    #[must_use]
+    pub fn mac_multi(&self, parts: &[&[u8]]) -> [u8; 32] {
+        let mut inner = self.inner.clone();
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
 }
 
 /// Computes HMAC-SHA512 over `data` (used by the deterministic DRBG).
@@ -63,13 +111,11 @@ pub fn hmac_sha512(key: &[u8], data: &[u8]) -> [u8; 64] {
         key_block[..key.len()].copy_from_slice(key);
     }
     let mut inner = Sha512::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
+    inner.update(&key_block.map(|b| b ^ 0x36));
     inner.update(data);
     let inner_digest = inner.finalize();
     let mut outer = Sha512::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
+    outer.update(&key_block.map(|b| b ^ 0x5c));
     outer.update(&inner_digest);
     outer.finalize()
 }

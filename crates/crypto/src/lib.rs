@@ -5,9 +5,9 @@
 //! protocol-level asymmetric cryptography (§3–§4):
 //!
 //! * [`aes`] — AES-128/AES-256 block cipher, the Shield's encryption
-//!   engine. The implementation is S-box based (not T-table) so that the
-//!   Shield's configurable *S-box parallelism* has a faithful counterpart
-//!   in the timing model.
+//!   engine. The host code is bitsliced and table-free, encrypting four
+//!   blocks per call; the FPGA engine's configurable *S-box parallelism*
+//!   lives on only in the timing model ([`aes::SBoxParallelism`]).
 //! * [`ctr`] — AES-CTR mode with the paper's 12-byte IV + 4-byte counter.
 //! * [`sha2`] — SHA-256 (Shield HMAC engine, Bitcoin accelerator) and
 //!   SHA-512 (Ed25519).
@@ -41,9 +41,14 @@
 //! # Security note
 //!
 //! This is a research reproduction executed inside a simulator. The
-//! implementations are correct against the standard test vectors but have
-//! not been hardened against real-world side channels; do not use them to
-//! protect production data.
+//! implementations are correct against the standard test vectors. The
+//! symmetric primitives on the Shield's data path are constant-time by
+//! construction, as §5.2 demands of the Shield engines: AES is bitsliced
+//! (no secret-indexed tables), GHASH multiplies with masked integer
+//! multiplies (no secret-dependent branches), and tags are compared with
+//! [`ct::eq`]. The Curve25519 code (Ed25519, X25519, ECIES) has not been
+//! audited for side channels. Do not use any of it to protect production
+//! data.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

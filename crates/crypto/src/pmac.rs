@@ -28,26 +28,18 @@
 //! assert_eq!(tag.len(), 16);
 //! ```
 
-use crate::aes::{Aes, AES_BLOCK_LEN};
+use crate::aes::{Aes, Blocks4, AES_BLOCK_LEN, AES_PARALLEL_BLOCKS};
 use crate::ct;
 
 /// Length in bytes of a PMAC tag.
 pub const PMAC_TAG_LEN: usize = 16;
 
 /// Doubles a 128-bit value in GF(2^128) (the standard dbl() used by
-/// OMAC/PMAC mask schedules).
+/// OMAC/PMAC mask schedules). Branch-free: the masks derive from the
+/// secret `L`, so the reduction is selected by a mask, not an `if`.
 fn dbl(block: &[u8; 16]) -> [u8; 16] {
-    let mut out = [0u8; 16];
-    let mut carry = 0u8;
-    for i in (0..16).rev() {
-        let b = block[i];
-        out[i] = (b << 1) | carry;
-        carry = b >> 7;
-    }
-    if carry != 0 {
-        out[15] ^= 0x87;
-    }
-    out
+    let v = u128::from_be_bytes(*block);
+    ((v << 1) ^ (0x87 & (v >> 127).wrapping_neg())).to_be_bytes()
 }
 
 fn xor16(a: &[u8; 16], b: &[u8; 16]) -> [u8; 16] {
@@ -67,41 +59,88 @@ pub fn pmac(aes: &Aes, data: &[u8]) -> [u8; PMAC_TAG_LEN] {
 /// Computes a PMAC tag over the concatenation of `parts`.
 #[must_use]
 pub fn pmac_multi(aes: &Aes, parts: &[&[u8]]) -> [u8; PMAC_TAG_LEN] {
-    let data: Vec<u8> = parts.iter().flat_map(|p| p.iter().copied()).collect();
-    let l = aes.encrypt_block(&[0u8; 16]);
-    let mut sigma = [0u8; 16];
-    let n_full = data.len() / AES_BLOCK_LEN;
-    let rem = data.len() % AES_BLOCK_LEN;
-    // All blocks except a possibly-final partial one are masked and
-    // encrypted independently — the parallelizable part.
-    let mut mask = dbl(&l);
+    pmac_multi_with_l(aes, &aes.encrypt_block(&[0u8; 16]), parts)
+}
+
+/// [`pmac_multi`] with `L = E_K(0¹²⁸)` supplied by a caller that caches
+/// it per key.
+///
+/// The independent blocks are masked and encrypted four per call of the
+/// AES core, read straight out of `parts` without concatenating them.
+pub(crate) fn pmac_multi_with_l(aes: &Aes, l: &[u8; 16], parts: &[&[u8]]) -> [u8; PMAC_TAG_LEN] {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let n_full = len / AES_BLOCK_LEN;
+    let rem = len % AES_BLOCK_LEN;
     let last_full_is_final = rem == 0 && n_full > 0;
+    // All blocks except the final one are masked and encrypted
+    // independently — the parallelizable part.
     let parallel_blocks = if last_full_is_final {
         n_full - 1
     } else {
         n_full
     };
-    for i in 0..parallel_blocks {
-        let block: [u8; 16] = data[i * 16..(i + 1) * 16].try_into().expect("full block");
-        sigma = xor16(&sigma, &aes.encrypt_block(&xor16(&block, &mask)));
-        mask = dbl(&mask);
+    let mut reader = PartsReader {
+        parts,
+        part: 0,
+        off: 0,
+    };
+    let mut sigma = [0u8; 16];
+    let mut mask = dbl(l);
+    let mut done = 0;
+    while done < parallel_blocks {
+        let n = (parallel_blocks - done).min(AES_PARALLEL_BLOCKS);
+        let mut batch: Blocks4 = [[0u8; AES_BLOCK_LEN]; AES_PARALLEL_BLOCKS];
+        for block in &mut batch[..n] {
+            reader.read(block);
+            *block = xor16(block, &mask);
+            mask = dbl(&mask);
+        }
+        aes.encrypt4(&mut batch);
+        for block in &batch[..n] {
+            sigma = xor16(&sigma, block);
+        }
+        done += n;
     }
     // Final block handling: full final block XORed directly with a
     // distinct mask; partial block padded 10*.
-    let final_mask_full = dbl(&dbl(&l));
-    let final_mask_partial = dbl(&dbl(&dbl(&l)));
+    let mut last = [0u8; 16];
     if last_full_is_final {
-        let block: [u8; 16] = data[(n_full - 1) * 16..].try_into().expect("final block");
-        sigma = xor16(&sigma, &block);
-        sigma = xor16(&sigma, &final_mask_full);
+        reader.read(&mut last);
+        sigma = xor16(&sigma, &last);
+        sigma = xor16(&sigma, &dbl(&dbl(l)));
     } else {
-        let mut block = [0u8; 16];
-        block[..rem].copy_from_slice(&data[n_full * 16..]);
-        block[rem] = 0x80;
-        sigma = xor16(&sigma, &block);
-        sigma = xor16(&sigma, &final_mask_partial);
+        reader.read(&mut last[..rem]);
+        last[rem] = 0x80;
+        sigma = xor16(&sigma, &last);
+        sigma = xor16(&sigma, &dbl(&dbl(&dbl(l))));
     }
     aes.encrypt_block(&sigma)
+}
+
+/// Sequential reader over the virtual concatenation of `parts`.
+struct PartsReader<'a> {
+    parts: &'a [&'a [u8]],
+    part: usize,
+    off: usize,
+}
+
+impl PartsReader<'_> {
+    /// Fills `out` with the next `out.len()` bytes; the caller never asks
+    /// for more than remain.
+    fn read(&mut self, out: &mut [u8]) {
+        let mut filled = 0;
+        while filled < out.len() {
+            let src = &self.parts[self.part][self.off..];
+            let take = src.len().min(out.len() - filled);
+            out[filled..filled + take].copy_from_slice(&src[..take]);
+            filled += take;
+            self.off += take;
+            if self.off == self.parts[self.part].len() {
+                self.part += 1;
+                self.off = 0;
+            }
+        }
+    }
 }
 
 /// Verifies a PMAC tag in constant time.

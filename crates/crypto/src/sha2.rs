@@ -186,17 +186,18 @@ impl Sha256 {
 
     /// Consumes the hasher, returning the digest.
     pub fn finalize(mut self) -> [u8; SHA256_DIGEST_LEN] {
+        // One update carries 0x80, the zero fill up to 8 bytes short of a
+        // block boundary, and the 64-bit big-endian bit length.
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // `update` above already adjusted total_len; the padding length is
-        // derived from the captured bit_len so the extra bookkeeping is
-        // harmless.
-        while self.buffered != SHA256_BLOCK_LEN - 8 {
-            self.update(&[0u8]);
-        }
-        let mut len_bytes = [0u8; 8];
-        len_bytes.copy_from_slice(&bit_len.to_be_bytes());
-        self.update(&len_bytes);
+        let mut pad = [0u8; SHA256_BLOCK_LEN + 8];
+        pad[0] = 0x80;
+        let len_at = if self.buffered < SHA256_BLOCK_LEN - 8 {
+            SHA256_BLOCK_LEN - 8 - self.buffered
+        } else {
+            2 * SHA256_BLOCK_LEN - 8 - self.buffered
+        };
+        pad[len_at..len_at + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..len_at + 8]);
         debug_assert_eq!(self.buffered, 0);
         let mut out = [0u8; SHA256_DIGEST_LEN];
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.state.iter()) {
@@ -331,14 +332,18 @@ impl Sha512 {
 
     /// Consumes the hasher, returning the digest.
     pub fn finalize(mut self) -> [u8; SHA512_DIGEST_LEN] {
+        // One update carries 0x80, the zero fill up to 16 bytes short of
+        // a block boundary, and the 128-bit big-endian bit length.
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != SHA512_BLOCK_LEN - 16 {
-            self.update(&[0u8]);
-        }
-        let mut len_bytes = [0u8; 16];
-        len_bytes.copy_from_slice(&bit_len.to_be_bytes());
-        self.update(&len_bytes);
+        let mut pad = [0u8; SHA512_BLOCK_LEN + 16];
+        pad[0] = 0x80;
+        let len_at = if self.buffered < SHA512_BLOCK_LEN - 16 {
+            SHA512_BLOCK_LEN - 16 - self.buffered
+        } else {
+            2 * SHA512_BLOCK_LEN - 16 - self.buffered
+        };
+        pad[len_at..len_at + 16].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..len_at + 16]);
         debug_assert_eq!(self.buffered, 0);
         let mut out = [0u8; SHA512_DIGEST_LEN];
         for (chunk, word) in out.chunks_exact_mut(8).zip(self.state.iter()) {
@@ -458,6 +463,20 @@ mod tests {
             to_hex(&Sha512::digest(b"")),
             "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce\
              47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e"
+        );
+    }
+
+    #[test]
+    fn sha512_two_blocks() {
+        // FIPS 180-2 C.2: 112 bytes leave no room for the 16-byte length
+        // in the first block, so padding spills into a second one.
+        assert_eq!(
+            to_hex(&Sha512::digest(
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+                  hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+            )),
+            "8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299aeadb6889018\
+             501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909"
         );
     }
 
