@@ -34,9 +34,9 @@
 
 use shef_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
 use shef_crypto::hkdf;
+use shef_crypto::wire::{Reader, Writer};
 use shef_fpga::spb::AttestationRoot;
 
-use crate::enc;
 use crate::measure::Measurement;
 use crate::AttestError;
 
@@ -91,6 +91,14 @@ impl ManufacturerCa {
     #[must_use]
     pub fn certify_device(&self, die_serial: &[u8], root: &AttestationRoot) -> DeviceCert {
         let device_public = device_identity(root, die_serial).verifying_key();
+        self.certify_device_key(die_serial, device_public)
+    }
+
+    /// Signs the binding die serial → `device_public` for a device key
+    /// the Manufacturer generated itself (the bitstream-key release's
+    /// firmware-held device key, §3 step 2).
+    #[must_use]
+    pub fn certify_device_key(&self, die_serial: &[u8], device_public: VerifyingKey) -> DeviceCert {
         let message = DeviceCert::message(die_serial, &device_public);
         DeviceCert {
             die_serial: die_serial.to_vec(),
@@ -114,11 +122,11 @@ pub struct DeviceCert {
 
 impl DeviceCert {
     fn message(die_serial: &[u8], device_public: &VerifyingKey) -> Vec<u8> {
-        let mut msg = Vec::new();
-        enc::put_bytes(&mut msg, DEVICE_CERT_TAG);
-        enc::put_bytes(&mut msg, die_serial);
-        msg.extend_from_slice(&device_public.0);
-        msg
+        let mut w = Writer::new();
+        w.put_bytes(DEVICE_CERT_TAG);
+        w.put_bytes(die_serial);
+        w.put_fixed(&device_public.0);
+        w.finish()
     }
 
     /// Verifies the Manufacturer signature.
@@ -136,11 +144,11 @@ impl DeviceCert {
     /// Canonical wire encoding.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        enc::put_bytes(&mut out, &self.die_serial);
-        out.extend_from_slice(&self.device_public.0);
-        out.extend_from_slice(&self.signature.0);
-        out
+        let mut w = Writer::new();
+        w.put_bytes(&self.die_serial);
+        w.put_fixed(&self.device_public.0);
+        w.put_fixed(&self.signature.0);
+        w.finish()
     }
 
     /// Parses the [`DeviceCert::to_bytes`] encoding.
@@ -148,11 +156,12 @@ impl DeviceCert {
     /// # Errors
     ///
     /// Returns [`AttestError::Malformed`] on truncation.
-    pub fn from_bytes(mut bytes: &[u8]) -> Result<Self, AttestError> {
-        let die_serial = enc::take_bytes(&mut bytes)?.to_vec();
-        let device_public = VerifyingKey(enc::take_array::<32>(&mut bytes)?);
-        let signature = Signature(enc::take_array::<64>(&mut bytes)?);
-        enc::expect_end(bytes)?;
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, AttestError> {
+        let mut r = Reader::new(bytes);
+        let die_serial = r.get_bytes()?.to_vec();
+        let device_public = VerifyingKey(r.get_fixed()?);
+        let signature = Signature(r.get_fixed()?);
+        r.finish()?;
         Ok(DeviceCert {
             die_serial,
             device_public,
@@ -183,12 +192,12 @@ impl AkCert {
         ak_public: &VerifyingKey,
         kem_public: &[u8; 32],
     ) -> Vec<u8> {
-        let mut msg = Vec::new();
-        enc::put_bytes(&mut msg, AK_CERT_TAG);
-        msg.extend_from_slice(&measurement.0);
-        msg.extend_from_slice(&ak_public.0);
-        msg.extend_from_slice(kem_public);
-        msg
+        let mut w = Writer::new();
+        w.put_bytes(AK_CERT_TAG);
+        w.put_fixed(&measurement.0);
+        w.put_fixed(&ak_public.0);
+        w.put_fixed(kem_public);
+        w.finish()
     }
 
     /// Issues the certificate (Security Kernel side).
@@ -224,12 +233,12 @@ impl AkCert {
     /// Canonical wire encoding.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.measurement.0);
-        out.extend_from_slice(&self.ak_public.0);
-        out.extend_from_slice(&self.kem_public);
-        out.extend_from_slice(&self.signature.0);
-        out
+        let mut w = Writer::new();
+        w.put_fixed(&self.measurement.0);
+        w.put_fixed(&self.ak_public.0);
+        w.put_fixed(&self.kem_public);
+        w.put_fixed(&self.signature.0);
+        w.finish()
     }
 
     /// Parses the [`AkCert::to_bytes`] encoding.
@@ -237,12 +246,13 @@ impl AkCert {
     /// # Errors
     ///
     /// Returns [`AttestError::Malformed`] on truncation.
-    pub fn from_bytes(mut bytes: &[u8]) -> Result<Self, AttestError> {
-        let measurement = Measurement(enc::take_array::<32>(&mut bytes)?);
-        let ak_public = VerifyingKey(enc::take_array::<32>(&mut bytes)?);
-        let kem_public = enc::take_array::<32>(&mut bytes)?;
-        let signature = Signature(enc::take_array::<64>(&mut bytes)?);
-        enc::expect_end(bytes)?;
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, AttestError> {
+        let mut r = Reader::new(bytes);
+        let measurement = Measurement(r.get_fixed()?);
+        let ak_public = VerifyingKey(r.get_fixed()?);
+        let kem_public = r.get_fixed()?;
+        let signature = Signature(r.get_fixed()?);
+        r.finish()?;
         Ok(AkCert {
             measurement,
             ak_public,
@@ -264,6 +274,15 @@ mod tests {
         cert.verify(&ca.root_public()).unwrap();
         let parsed = DeviceCert::from_bytes(&cert.to_bytes()).unwrap();
         assert_eq!(parsed, cert);
+    }
+
+    #[test]
+    fn certify_device_key_matches_certify_device() {
+        let ca = ManufacturerCa::from_seed(b"ca");
+        let root = AttestationRoot::from_device_key(&[1u8; 32]);
+        let derived = device_identity(&root, b"die-7").verifying_key();
+        let by_root = ca.certify_device(b"die-7", &root).to_bytes();
+        assert_eq!(ca.certify_device_key(b"die-7", derived).to_bytes(), by_root);
     }
 
     #[test]

@@ -72,7 +72,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod enc;
 pub mod env;
 pub mod identity;
 pub mod kernel;
@@ -157,3 +156,9 @@ impl core::fmt::Display for AttestError {
 }
 
 impl std::error::Error for AttestError {}
+
+impl From<shef_crypto::wire::WireError> for AttestError {
+    fn from(e: shef_crypto::wire::WireError) -> Self {
+        AttestError::Malformed(e.0)
+    }
+}

@@ -26,8 +26,8 @@
 //! ```
 
 use shef_crypto::sha2::Sha256;
+use shef_crypto::wire::Writer;
 
-use crate::enc;
 use crate::AttestError;
 
 /// Domain-separation label hashed into the chain's initial state.
@@ -75,10 +75,10 @@ impl MeasurementChain {
     /// Extends the chain with a labelled image:
     /// `state ← SHA-256(state ‖ SHA-256(label ‖ image))`.
     pub fn extend(&mut self, label: &str, image: &[u8]) {
-        let mut leaf = Vec::with_capacity(4 + label.len() + image.len());
-        enc::put_bytes(&mut leaf, label.as_bytes());
-        leaf.extend_from_slice(image);
-        let leaf_digest = Sha256::digest(&leaf);
+        let mut leaf = Writer::with_capacity(8 + label.len() + image.len());
+        leaf.put_str(label);
+        leaf.put_fixed(image);
+        let leaf_digest = Sha256::digest(&leaf.finish());
         let mut h = Sha256::new();
         h.update(&self.state);
         h.update(&leaf_digest);
@@ -92,11 +92,13 @@ impl MeasurementChain {
     }
 }
 
-/// The verifier-side registry of measurements it will accept: the
-/// digests of Shield bitstreams the Data Owner has audited (or obtained
-/// from a trusted build service). A quote whose measurement is not
-/// published here fails verification with
-/// [`AttestError::UnknownMeasurement`].
+/// The public registry of audited measurements a verifier accepts.
+///
+/// Both key releases consult one: the Data Owner's verifier publishes
+/// the Shield bitstream digests it audited, and the IP Vendor publishes
+/// the Security Kernel hashes it trusts (§3: "a public list of ShEF
+/// Security Kernel … hashes"). A measurement not published here fails
+/// verification with [`AttestError::UnknownMeasurement`].
 #[derive(Debug, Clone, Default)]
 pub struct MeasurementRegistry {
     known: std::collections::BTreeSet<[u8; 32]>,

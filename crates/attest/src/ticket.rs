@@ -27,8 +27,8 @@ use shef_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
 use shef_crypto::gcm::{AesGcm, GCM_IV_LEN, GCM_TAG_LEN};
 use shef_crypto::hkdf;
 use shef_crypto::sha2::Sha256;
+use shef_crypto::wire::{Reader, Writer};
 
-use crate::enc;
 use crate::measure::Measurement;
 use crate::AttestError;
 
@@ -61,12 +61,12 @@ pub(crate) fn session_key(
 
 /// The associated data a sealed DEK is bound to.
 fn dek_ad(tenant: &str, measurement: &Measurement, nonce: &[u8; 32]) -> Vec<u8> {
-    let mut ad = Vec::new();
-    enc::put_bytes(&mut ad, DEK_AD_TAG);
-    enc::put_bytes(&mut ad, tenant.as_bytes());
-    ad.extend_from_slice(&measurement.0);
-    ad.extend_from_slice(nonce);
-    ad
+    let mut ad = Writer::new();
+    ad.put_bytes(DEK_AD_TAG);
+    ad.put_str(tenant);
+    ad.put_fixed(&measurement.0);
+    ad.put_fixed(nonce);
+    ad.finish()
 }
 
 /// The GCM IV for a session (the session key is one-shot, but the IV is
@@ -130,10 +130,10 @@ impl SealedDek {
     /// Canonical wire encoding.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        enc::put_bytes(&mut out, &self.ciphertext);
-        out.extend_from_slice(&self.tag);
-        out
+        let mut w = Writer::new();
+        w.put_bytes(&self.ciphertext);
+        w.put_fixed(&self.tag);
+        w.finish()
     }
 
     /// Parses the [`SealedDek::to_bytes`] encoding.
@@ -141,10 +141,11 @@ impl SealedDek {
     /// # Errors
     ///
     /// Returns [`AttestError::Malformed`] on truncation.
-    pub fn from_bytes(mut bytes: &[u8]) -> Result<Self, AttestError> {
-        let ciphertext = enc::take_bytes(&mut bytes)?.to_vec();
-        let tag = enc::take_array::<GCM_TAG_LEN>(&mut bytes)?;
-        enc::expect_end(bytes)?;
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, AttestError> {
+        let mut r = Reader::new(bytes);
+        let ciphertext = r.get_bytes()?.to_vec();
+        let tag = r.get_fixed()?;
+        r.finish()?;
         Ok(SealedDek { ciphertext, tag })
     }
 }
@@ -172,14 +173,14 @@ impl AttestationTicket {
         sealed_dek: &SealedDek,
         verifier_public: &VerifyingKey,
     ) -> Vec<u8> {
-        let mut msg = Vec::new();
-        enc::put_bytes(&mut msg, TICKET_TAG);
-        enc::put_bytes(&mut msg, tenant.as_bytes());
-        msg.extend_from_slice(&measurement.0);
-        msg.extend_from_slice(session);
-        msg.extend_from_slice(&Sha256::digest(&sealed_dek.to_bytes()));
-        msg.extend_from_slice(&verifier_public.0);
-        msg
+        let mut w = Writer::new();
+        w.put_bytes(TICKET_TAG);
+        w.put_str(tenant);
+        w.put_fixed(&measurement.0);
+        w.put_fixed(session);
+        w.put_fixed(&Sha256::digest(&sealed_dek.to_bytes()));
+        w.put_fixed(&verifier_public.0);
+        w.finish()
     }
 
     /// Issues a ticket (verifier side).
@@ -273,14 +274,14 @@ impl AttestationTicket {
     /// Canonical wire encoding (what the untrusted host forwards).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        enc::put_bytes(&mut out, self.tenant.as_bytes());
-        out.extend_from_slice(&self.measurement.0);
-        out.extend_from_slice(&self.session);
-        enc::put_bytes(&mut out, &self.sealed_dek.to_bytes());
-        out.extend_from_slice(&self.verifier_public.0);
-        out.extend_from_slice(&self.signature.0);
-        out
+        let mut w = Writer::new();
+        w.put_str(&self.tenant);
+        w.put_fixed(&self.measurement.0);
+        w.put_fixed(&self.session);
+        w.put_bytes(&self.sealed_dek.to_bytes());
+        w.put_fixed(&self.verifier_public.0);
+        w.put_fixed(&self.signature.0);
+        w.finish()
     }
 
     /// Parses the [`AttestationTicket::to_bytes`] encoding. Parsing
@@ -291,15 +292,15 @@ impl AttestationTicket {
     ///
     /// Returns [`AttestError::Malformed`] on truncation or non-UTF-8
     /// tenant names.
-    pub fn from_bytes(mut bytes: &[u8]) -> Result<Self, AttestError> {
-        let tenant = String::from_utf8(enc::take_bytes(&mut bytes)?.to_vec())
-            .map_err(|_| AttestError::Malformed("tenant name is not UTF-8".into()))?;
-        let measurement = Measurement(enc::take_array::<32>(&mut bytes)?);
-        let session = enc::take_array::<32>(&mut bytes)?;
-        let sealed_dek = SealedDek::from_bytes(enc::take_bytes(&mut bytes)?)?;
-        let verifier_public = VerifyingKey(enc::take_array::<32>(&mut bytes)?);
-        let signature = Signature(enc::take_array::<64>(&mut bytes)?);
-        enc::expect_end(bytes)?;
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, AttestError> {
+        let mut r = Reader::new(bytes);
+        let tenant = r.get_str()?.to_owned();
+        let measurement = Measurement(r.get_fixed()?);
+        let session = r.get_fixed()?;
+        let sealed_dek = SealedDek::from_bytes(r.get_bytes()?)?;
+        let verifier_public = VerifyingKey(r.get_fixed()?);
+        let signature = Signature(r.get_fixed()?);
+        r.finish()?;
         Ok(AttestationTicket {
             tenant,
             measurement,

@@ -48,9 +48,9 @@ use shef_crypto::ecies::{EciesKeyPair, EciesPublicKey};
 use shef_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
 use shef_crypto::hkdf;
 use shef_crypto::sha2::Sha256;
+use shef_crypto::wire::{Reader, Writer};
 use shef_telemetry::{Counter, Telemetry};
 
-use crate::enc;
 use crate::identity::{AkCert, DeviceCert};
 use crate::measure::{Measurement, MeasurementRegistry};
 use crate::ticket::{session_key, AttestationTicket, SealedDek};
@@ -104,16 +104,16 @@ impl Quote {
         device_cert: &DeviceCert,
         ak_cert: &AkCert,
     ) -> Vec<u8> {
-        let mut msg = Vec::new();
-        enc::put_bytes(&mut msg, QUOTE_TAG);
-        msg.extend_from_slice(&measurement.0);
-        msg.extend_from_slice(nonce);
-        msg.extend_from_slice(verifier_kem);
-        msg.extend_from_slice(&ak_public.0);
-        msg.extend_from_slice(kem_public);
-        msg.extend_from_slice(&Sha256::digest(&device_cert.to_bytes()));
-        msg.extend_from_slice(&Sha256::digest(&ak_cert.to_bytes()));
-        msg
+        let mut w = Writer::new();
+        w.put_bytes(QUOTE_TAG);
+        w.put_fixed(&measurement.0);
+        w.put_fixed(nonce);
+        w.put_fixed(verifier_kem);
+        w.put_fixed(&ak_public.0);
+        w.put_fixed(kem_public);
+        w.put_fixed(&Sha256::digest(&device_cert.to_bytes()));
+        w.put_fixed(&Sha256::digest(&ak_cert.to_bytes()));
+        w.finish()
     }
 
     /// Signs a quote (Security Kernel side).
@@ -172,16 +172,16 @@ impl Quote {
     /// Canonical wire encoding.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.measurement.0);
-        out.extend_from_slice(&self.nonce);
-        out.extend_from_slice(&self.verifier_kem);
-        out.extend_from_slice(&self.ak_public.0);
-        out.extend_from_slice(&self.kem_public);
-        enc::put_bytes(&mut out, &self.device_cert.to_bytes());
-        enc::put_bytes(&mut out, &self.ak_cert.to_bytes());
-        out.extend_from_slice(&self.signature.0);
-        out
+        let mut w = Writer::new();
+        w.put_fixed(&self.measurement.0);
+        w.put_fixed(&self.nonce);
+        w.put_fixed(&self.verifier_kem);
+        w.put_fixed(&self.ak_public.0);
+        w.put_fixed(&self.kem_public);
+        w.put_bytes(&self.device_cert.to_bytes());
+        w.put_bytes(&self.ak_cert.to_bytes());
+        w.put_fixed(&self.signature.0);
+        w.finish()
     }
 
     /// Parses the [`Quote::to_bytes`] encoding. Parsing does not
@@ -190,16 +190,17 @@ impl Quote {
     /// # Errors
     ///
     /// Returns [`AttestError::Malformed`] on truncation.
-    pub fn from_bytes(mut bytes: &[u8]) -> Result<Self, AttestError> {
-        let measurement = Measurement(enc::take_array::<32>(&mut bytes)?);
-        let nonce = enc::take_array::<32>(&mut bytes)?;
-        let verifier_kem = enc::take_array::<32>(&mut bytes)?;
-        let ak_public = VerifyingKey(enc::take_array::<32>(&mut bytes)?);
-        let kem_public = enc::take_array::<32>(&mut bytes)?;
-        let device_cert = DeviceCert::from_bytes(enc::take_bytes(&mut bytes)?)?;
-        let ak_cert = AkCert::from_bytes(enc::take_bytes(&mut bytes)?)?;
-        let signature = Signature(enc::take_array::<64>(&mut bytes)?);
-        enc::expect_end(bytes)?;
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, AttestError> {
+        let mut r = Reader::new(bytes);
+        let measurement = Measurement(r.get_fixed()?);
+        let nonce = r.get_fixed()?;
+        let verifier_kem = r.get_fixed()?;
+        let ak_public = VerifyingKey(r.get_fixed()?);
+        let kem_public = r.get_fixed()?;
+        let device_cert = DeviceCert::from_bytes(r.get_bytes()?)?;
+        let ak_cert = AkCert::from_bytes(r.get_bytes()?)?;
+        let signature = Signature(r.get_fixed()?);
+        r.finish()?;
         Ok(Quote {
             measurement,
             nonce,

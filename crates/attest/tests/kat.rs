@@ -14,15 +14,15 @@ const KAT_DEK: [u8; 32] = [0x2A; 32];
 
 /// SHA-256 of the Shield bitstream measurement chain for the demo
 /// bitstream under the KAT seed.
-const KAT_MEASUREMENT: &str = "395c031107552d76bfd8a4b617e16dd022d637dc7eee52bb9e688618314d5232";
+const KAT_MEASUREMENT: &str = "56eefb7735029a8670fce22e2e31c363052c2680ad0232e7ee0dc0f9f0c13b0a";
 /// First challenge nonce drawn from the verifier's DRBG.
 const KAT_NONCE: &str = "ca6e0644d085769457a33fcc4cec80225897f6b5e71cad4cdb8f073ce5b9f4d9";
 /// Verifier's first ephemeral X25519 public key.
 const KAT_VERIFIER_KEM: &str = "029c56003a601d54aeed274d76443a62be196d11363e18aebee8c320416c1b44";
 /// SHA-256 over the canonical quote encoding.
-const KAT_QUOTE_DIGEST: &str = "068477ee73077964085784a64e413e0f97037ae66f4fbd6a76716d66872f88ec";
+const KAT_QUOTE_DIGEST: &str = "7a8db824b066a8aa579398852dbe3602872afebfd6258b0b4ca0eb354dbd1026";
 /// SHA-256 over the canonical ticket encoding (sealed DEK included).
-const KAT_TICKET_DIGEST: &str = "bcd171ce5a4a94bb64aafbc1eaefc2c3d0a95571a8aa3677c0a8ed86835b037d";
+const KAT_TICKET_DIGEST: &str = "2204d4c3bb30c09cdee83a2fe8a7ed3ea1538f279914456d3d9da71d2fe295ff";
 
 fn hex(bytes: &[u8]) -> String {
     use std::fmt::Write;

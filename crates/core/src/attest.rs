@@ -20,17 +20,25 @@
 //! 4. The kernel decrypts and loads the accelerator via partial
 //!    reconfiguration; the Data Owner receives the public Shield
 //!    Encryption Key and builds Load Keys.
+//!
+//! This is the IP Vendor's key release. It shares its trust base with
+//! the Data Owner's DEK release in `shef_attest`: the same
+//! [`ManufacturerCa`](shef_attest::ManufacturerCa) certificates, the
+//! same [`MeasurementRegistry`], the same wire codec, and the same typed
+//! [`AttestError`]s. Like a DEK ticket, a session releases one key: the
+//! kernel drops the session key once the sealed Bitstream Key opens.
 
+use shef_attest::{AttestError, DeviceCert, Measurement, MeasurementRegistry};
 use shef_crypto::authenc::{AuthEncKey, MacAlgorithm, Sealed};
 use shef_crypto::ecies::EciesKeyPair;
 use shef_crypto::ed25519::{Signature, VerifyingKey};
 use shef_crypto::hkdf;
 use shef_crypto::sha2::Sha256;
+use shef_crypto::wire::{Reader, Writer};
 use shef_fpga::board::{image_names, Board};
 
 use crate::bitstream::{Bitstream, BitstreamKey, EncryptedBitstream};
 use crate::boot::{self, seckrnl_cert_message, slots};
-use crate::wire::{Reader, Writer};
 use crate::ShefError;
 
 /// Associated data for the Bitstream-Key hand-off message.
@@ -216,10 +224,12 @@ pub fn kernel_handle_challenge(
 /// Everything the IP Vendor needs to validate a response.
 #[derive(Debug, Clone)]
 pub struct VendorVerification<'a> {
-    /// The certified device public key (from the Manufacturer's CA).
-    pub device_public: VerifyingKey,
+    /// The Manufacturer CA root the vendor pins.
+    pub ca_root: VerifyingKey,
+    /// The device certificate for the board under attestation.
+    pub device_cert: &'a DeviceCert,
     /// The public registry of audited kernel hashes.
-    pub known_kernels: &'a crate::pki::MeasurementRegistry,
+    pub known_kernels: &'a MeasurementRegistry,
     /// The nonce the vendor issued.
     pub expected_nonce: [u8; 32],
     /// The vendor's ephemeral Verification Key (private half).
@@ -228,49 +238,50 @@ pub struct VendorVerification<'a> {
     pub expected_bitstream_hash: [u8; 32],
 }
 
-/// IP Vendor side: validates (α, σ_α, σ_SessionKey) and derives the
-/// session key (Fig. 3 step 5).
+/// IP Vendor side: validates the device certificate and (α, σ_α,
+/// σ_SessionKey), then derives the session key (Fig. 3 step 5).
 ///
 /// # Errors
 ///
-/// Returns [`ShefError::AttestationFailed`] naming the first check that
-/// failed.
+/// The first failed check, as a typed [`AttestError`]:
+/// [`AttestError::CertChain`] for the device certificate,
+/// [`AttestError::BadSignature`] for σ_SecKrnl, σ_α and σ_SessionKey,
+/// [`AttestError::UnknownMeasurement`] for a kernel hash missing from
+/// the registry or a wrong staged-bitstream hash, and
+/// [`AttestError::UnknownNonce`] for a nonce the vendor did not issue.
 pub fn vendor_verify(
     v: &VendorVerification<'_>,
     response: &AttestationResponse,
-) -> Result<AuthEncKey, ShefError> {
+) -> Result<AuthEncKey, AttestError> {
     let report = &response.report;
+    // 0. The device key is certified by the pinned Manufacturer CA.
+    v.device_cert.verify(&v.ca_root)?;
     // 1. σ_SecKrnl proves a genuine device booted this kernel+keys.
     let msg = seckrnl_cert_message(
         &report.kernel_hash,
         &report.attest_sign_public,
         &report.attest_dh_public,
     );
-    v.device_public
+    v.device_cert
+        .device_public
         .verify(&msg, &report.sigma_seckrnl)
-        .map_err(|_| ShefError::AttestationFailed("σ_SecKrnl not signed by device key".into()))?;
+        .map_err(|_| AttestError::BadSignature("σ_SecKrnl not signed by device key".into()))?;
     // 2. The kernel is an audited build.
-    if !v.known_kernels.is_known_kernel(&report.kernel_hash) {
-        return Err(ShefError::AttestationFailed(
-            "security kernel hash not in public registry".into(),
-        ));
-    }
+    v.known_kernels.require(&Measurement(report.kernel_hash))?;
     // 3. σ_α under the attestation key.
     report
         .attest_sign_public
         .verify(&report.to_bytes(), &response.sigma_alpha)
-        .map_err(|_| ShefError::AttestationFailed("σ_α invalid".into()))?;
+        .map_err(|_| AttestError::BadSignature("σ_α invalid".into()))?;
     // 4. Nonce freshness.
     if report.nonce != v.expected_nonce {
-        return Err(ShefError::AttestationFailed(
-            "nonce mismatch (replay?)".into(),
-        ));
+        return Err(AttestError::UnknownNonce);
     }
     // 5. Correct bitstream staged.
     if report.enc_bitstream_hash != v.expected_bitstream_hash {
-        return Err(ShefError::AttestationFailed(
-            "staged bitstream hash mismatch".into(),
-        ));
+        return Err(AttestError::UnknownMeasurement(shef_crypto::to_hex(
+            &report.enc_bitstream_hash,
+        )));
     }
     // 6. Session key agreement + certificate.
     let shared = v
@@ -288,7 +299,7 @@ pub fn vendor_verify(
             &session_cert_message(&session.master_bytes(), &report.nonce),
             &response.sigma_session,
         )
-        .map_err(|_| ShefError::AttestationFailed("σ_SessionKey invalid".into()))?;
+        .map_err(|_| AttestError::BadSignature("σ_SessionKey invalid".into()))?;
     Ok(session)
 }
 
@@ -305,27 +316,31 @@ pub fn vendor_seal_bitstream_key(session: &mut AuthEncKey, key: &BitstreamKey) -
 /// Returns the plaintext [`Bitstream`] — in hardware this never leaves
 /// the fabric; callers instantiate the Shield from it.
 ///
+/// Sessions are one-shot: once the sealed key opens, the session key and
+/// nonce leave private memory, so the same hand-off cannot be replayed.
+/// A sealed key that fails to open leaves the session in place — a MITM
+/// injection cannot burn the honest vendor's release.
+///
 /// # Errors
 ///
-/// * [`ShefError::ProtocolViolation`] without a prior challenge.
+/// * [`ShefError::ProtocolViolation`] without an open session (no
+///   challenge yet, or its key was already released).
 /// * [`ShefError::Crypto`] if the sealed key fails authentication.
 /// * [`ShefError::Fpga`] if the Shell is not resident.
 pub fn kernel_receive_bitstream_key(
     board: &mut Board,
     sealed_key: &Sealed,
 ) -> Result<Bitstream, ShefError> {
-    let session_master = board
-        .device
-        .sk_processor
-        .private_memory()
+    let mem = board.device.sk_processor.private_memory();
+    let master: [u8; 32] = mem
         .load(slots::SESSION_KEY)
         .ok_or_else(|| ShefError::ProtocolViolation("no attestation session established".into()))?
-        .to_vec();
-    let master: [u8; 32] = session_master
         .try_into()
         .map_err(|_| ShefError::ProtocolViolation("corrupt session key".into()))?;
     let session = AuthEncKey::from_bytes(master, MacAlgorithm::HmacSha256);
     let key_bytes = session.open(sealed_key, BITSTREAM_KEY_AD)?;
+    mem.take(slots::SESSION_KEY);
+    mem.take(slots::SESSION_NONCE);
     let key = BitstreamKey(
         key_bytes
             .try_into()
@@ -365,22 +380,25 @@ pub fn kernel_check_monitors(board: &mut Board) -> Result<(), ShefError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pki::MeasurementRegistry;
     use crate::shield::{EngineSetConfig, MemRange, ShieldConfig};
+    use shef_attest::ManufacturerCa;
     use shef_crypto::ed25519::SigningKey;
     use shef_fpga::keystore::KeyProtection;
     use shef_fpga::spb::seal_firmware;
 
+    const DIE: &[u8] = b"die-attest";
+
     struct Fixture {
         board: Board,
-        device_public: VerifyingKey,
+        ca: ManufacturerCa,
+        device_cert: DeviceCert,
         registry: MeasurementRegistry,
         enc_bitstream: EncryptedBitstream,
         bitstream_key: BitstreamKey,
     }
 
     fn fixture() -> Fixture {
-        let mut board = Board::new(b"die-attest");
+        let mut board = Board::new(DIE);
         let device_aes = [0x31u8; 32];
         board
             .device
@@ -415,7 +433,7 @@ mod tests {
 
         let report = crate::boot::secure_boot(&mut board).unwrap();
         let mut registry = MeasurementRegistry::new();
-        registry.publish_kernel_hash(report.kernel_hash);
+        registry.publish(Measurement(report.kernel_hash));
         // CSP loads the shell before accelerator loading.
         board
             .device
@@ -423,9 +441,12 @@ mod tests {
             .load_shell("f1-shell", b"shell bits")
             .unwrap();
 
+        let ca = ManufacturerCa::from_seed(b"attest-tests");
+        let device_cert = ca.certify_device_key(DIE, fw.device_signing_key().verifying_key());
         Fixture {
             board,
-            device_public: SigningKey::from_seed(&[0x32u8; 32]).verifying_key(),
+            ca,
+            device_cert,
             registry,
             enc_bitstream,
             bitstream_key,
@@ -439,21 +460,30 @@ mod tests {
         }
     }
 
+    /// The honest vendor's view of the fixture; tests override a field.
+    fn verification<'a>(fx: &'a Fixture, verif: &'a EciesKeyPair) -> VendorVerification<'a> {
+        VendorVerification {
+            ca_root: fx.ca.root_public(),
+            device_cert: &fx.device_cert,
+            known_kernels: &fx.registry,
+            expected_nonce: challenge(verif).nonce,
+            verif_key: verif,
+            expected_bitstream_hash: fx.enc_bitstream.hash(),
+        }
+    }
+
+    /// Runs challenge → response → verification → sealed key hand-off.
+    fn honest_release(fx: &mut Fixture, verif: &EciesKeyPair) -> Sealed {
+        let response = kernel_handle_challenge(&mut fx.board, &challenge(verif)).unwrap();
+        let mut session = vendor_verify(&verification(fx, verif), &response).unwrap();
+        vendor_seal_bitstream_key(&mut session, &fx.bitstream_key)
+    }
+
     #[test]
     fn full_attestation_flow() {
         let mut fx = fixture();
         let verif = EciesKeyPair::from_seed(b"vendor-ephemeral");
-        let ch = challenge(&verif);
-        let response = kernel_handle_challenge(&mut fx.board, &ch).unwrap();
-        let verification = VendorVerification {
-            device_public: fx.device_public,
-            known_kernels: &fx.registry,
-            expected_nonce: ch.nonce,
-            verif_key: &verif,
-            expected_bitstream_hash: fx.enc_bitstream.hash(),
-        };
-        let mut session = vendor_verify(&verification, &response).unwrap();
-        let sealed = vendor_seal_bitstream_key(&mut session, &fx.bitstream_key);
+        let sealed = honest_release(&mut fx, &verif);
         let bitstream = kernel_receive_bitstream_key(&mut fx.board, &sealed).unwrap();
         assert_eq!(bitstream.accel_id, "test-accel");
         assert!(fx.board.device.fabric.partial().is_some());
@@ -463,35 +493,30 @@ mod tests {
     fn wrong_nonce_rejected() {
         let mut fx = fixture();
         let verif = EciesKeyPair::from_seed(b"vendor");
-        let ch = challenge(&verif);
-        let response = kernel_handle_challenge(&mut fx.board, &ch).unwrap();
+        let response = kernel_handle_challenge(&mut fx.board, &challenge(&verif)).unwrap();
         let verification = VendorVerification {
-            device_public: fx.device_public,
-            known_kernels: &fx.registry,
             expected_nonce: [0u8; 32], // vendor expected a different nonce
-            verif_key: &verif,
-            expected_bitstream_hash: fx.enc_bitstream.hash(),
+            ..verification(&fx, &verif)
         };
         let err = vendor_verify(&verification, &response).unwrap_err();
-        assert!(matches!(err, ShefError::AttestationFailed(m) if m.contains("nonce")));
+        assert_eq!(err, AttestError::UnknownNonce);
     }
 
     #[test]
     fn unknown_kernel_rejected() {
         let mut fx = fixture();
         let verif = EciesKeyPair::from_seed(b"vendor");
-        let ch = challenge(&verif);
-        let response = kernel_handle_challenge(&mut fx.board, &ch).unwrap();
+        let response = kernel_handle_challenge(&mut fx.board, &challenge(&verif)).unwrap();
         let empty_registry = MeasurementRegistry::new();
         let verification = VendorVerification {
-            device_public: fx.device_public,
             known_kernels: &empty_registry,
-            expected_nonce: ch.nonce,
-            verif_key: &verif,
-            expected_bitstream_hash: fx.enc_bitstream.hash(),
+            ..verification(&fx, &verif)
         };
         let err = vendor_verify(&verification, &response).unwrap_err();
-        assert!(matches!(err, ShefError::AttestationFailed(m) if m.contains("registry")));
+        assert_eq!(
+            err,
+            AttestError::UnknownMeasurement(shef_crypto::to_hex(&response.report.kernel_hash))
+        );
     }
 
     #[test]
@@ -502,55 +527,61 @@ mod tests {
             .boot_medium
             .store(image_names::ACCELERATOR_BITSTREAM, vec![0xEE; 500]);
         let verif = EciesKeyPair::from_seed(b"vendor");
-        let ch = challenge(&verif);
-        let response = kernel_handle_challenge(&mut fx.board, &ch).unwrap();
-        let verification = VendorVerification {
-            device_public: fx.device_public,
-            known_kernels: &fx.registry,
-            expected_nonce: ch.nonce,
-            verif_key: &verif,
-            expected_bitstream_hash: fx.enc_bitstream.hash(),
-        };
-        let err = vendor_verify(&verification, &response).unwrap_err();
-        assert!(matches!(err, ShefError::AttestationFailed(m) if m.contains("bitstream")));
+        let response = kernel_handle_challenge(&mut fx.board, &challenge(&verif)).unwrap();
+        let err = vendor_verify(&verification(&fx, &verif), &response).unwrap_err();
+        assert_eq!(
+            err,
+            AttestError::UnknownMeasurement(shef_crypto::to_hex(&Sha256::digest(&[0xEE; 500])))
+        );
     }
 
     #[test]
     fn forged_device_rejected() {
         let mut fx = fixture();
         let verif = EciesKeyPair::from_seed(b"vendor");
-        let ch = challenge(&verif);
-        let response = kernel_handle_challenge(&mut fx.board, &ch).unwrap();
-        // Vendor checks against a different device's public key.
+        let response = kernel_handle_challenge(&mut fx.board, &challenge(&verif)).unwrap();
+        // Vendor checks against a genuine certificate for a different
+        // device key: σ_SecKrnl does not verify under it.
         let other_device = SigningKey::from_seed(&[0x99u8; 32]).verifying_key();
+        let other_cert = fx.ca.certify_device_key(DIE, other_device);
         let verification = VendorVerification {
-            device_public: other_device,
-            known_kernels: &fx.registry,
-            expected_nonce: ch.nonce,
-            verif_key: &verif,
-            expected_bitstream_hash: fx.enc_bitstream.hash(),
+            device_cert: &other_cert,
+            ..verification(&fx, &verif)
         };
         let err = vendor_verify(&verification, &response).unwrap_err();
-        assert!(matches!(err, ShefError::AttestationFailed(m) if m.contains("device")));
+        assert!(matches!(err, AttestError::BadSignature(m) if m.contains("σ_SecKrnl")));
+    }
+
+    #[test]
+    fn rogue_ca_device_cert_rejected() {
+        let mut fx = fixture();
+        let verif = EciesKeyPair::from_seed(b"vendor");
+        let response = kernel_handle_challenge(&mut fx.board, &challenge(&verif)).unwrap();
+        // Same die and device key, certified by a CA the vendor does
+        // not pin.
+        let rogue = ManufacturerCa::from_seed(b"rogue-maker");
+        let rogue_cert = rogue.certify_device_key(DIE, fx.device_cert.device_public);
+        let verification = VendorVerification {
+            device_cert: &rogue_cert,
+            ..verification(&fx, &verif)
+        };
+        let err = vendor_verify(&verification, &response).unwrap_err();
+        assert!(matches!(err, AttestError::CertChain(_)));
     }
 
     #[test]
     fn tampered_report_rejected() {
         let mut fx = fixture();
         let verif = EciesKeyPair::from_seed(b"vendor");
-        let ch = challenge(&verif);
-        let mut response = kernel_handle_challenge(&mut fx.board, &ch).unwrap();
+        let mut response = kernel_handle_challenge(&mut fx.board, &challenge(&verif)).unwrap();
         response.report.enc_bitstream_hash[0] ^= 1;
         let verification = VendorVerification {
-            device_public: fx.device_public,
-            known_kernels: &fx.registry,
-            expected_nonce: ch.nonce,
-            verif_key: &verif,
             expected_bitstream_hash: response.report.enc_bitstream_hash,
+            ..verification(&fx, &verif)
         };
         // σ_α no longer covers the mutated report.
         let err = vendor_verify(&verification, &response).unwrap_err();
-        assert!(matches!(err, ShefError::AttestationFailed(m) if m.contains("σ_α")));
+        assert!(matches!(err, AttestError::BadSignature(m) if m.contains("σ_α")));
     }
 
     #[test]
@@ -564,16 +595,34 @@ mod tests {
     }
 
     #[test]
+    fn bitstream_key_hand_off_is_one_shot() {
+        let mut fx = fixture();
+        let verif = EciesKeyPair::from_seed(b"vendor");
+        let sealed = honest_release(&mut fx, &verif);
+        kernel_receive_bitstream_key(&mut fx.board, &sealed).unwrap();
+        // The session left private memory with the first release.
+        let err = kernel_receive_bitstream_key(&mut fx.board, &sealed).unwrap_err();
+        assert!(matches!(err, ShefError::ProtocolViolation(_)));
+        let mem = fx.board.device.sk_processor.private_memory();
+        assert!(mem.load(slots::SESSION_KEY).is_none());
+        assert!(mem.load(slots::SESSION_NONCE).is_none());
+    }
+
+    #[test]
     fn wrong_session_key_rejected() {
         let mut fx = fixture();
         let verif = EciesKeyPair::from_seed(b"vendor");
-        let ch = challenge(&verif);
-        let _ = kernel_handle_challenge(&mut fx.board, &ch).unwrap();
+        let honest = honest_release(&mut fx, &verif);
         // A MITM that never learned the session key tries to inject its
         // own bitstream key.
         let mut mitm_session = AuthEncKey::from_bytes([0xBBu8; 32], MacAlgorithm::HmacSha256);
         let sealed = vendor_seal_bitstream_key(&mut mitm_session, &BitstreamKey([0xCC; 32]));
-        assert!(kernel_receive_bitstream_key(&mut fx.board, &sealed).is_err());
+        let err = kernel_receive_bitstream_key(&mut fx.board, &sealed).unwrap_err();
+        assert!(matches!(err, ShefError::Crypto(_)));
+        // The failed open did not burn the session: the honest key
+        // still redeems.
+        let bitstream = kernel_receive_bitstream_key(&mut fx.board, &honest).unwrap();
+        assert_eq!(bitstream.accel_id, "test-accel");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 use shef_crypto::authenc::{AuthEncKey, MacAlgorithm, Sealed};
 use shef_crypto::ecies::EciesKeyPair;
 use shef_crypto::sha2::Sha256;
+use shef_crypto::wire::{Reader, Writer};
 
 use crate::shield::ShieldConfig;
-use crate::wire::{Reader, Writer};
 use crate::ShefError;
 
 /// Magic prefix of a plaintext bitstream.
@@ -77,10 +77,10 @@ impl Bitstream {
                 "unsupported bitstream version {version}"
             )));
         }
-        let accel_id = r.get_str()?;
-        let shield_config = ShieldConfig::from_bytes(&r.get_bytes()?)?;
+        let accel_id = r.get_str()?.to_owned();
+        let shield_config = ShieldConfig::from_bytes(r.get_bytes()?)?;
         let shield_key_seed = r.get_fixed::<32>()?;
-        let logic = r.get_bytes()?;
+        let logic = r.get_bytes()?.to_vec();
         r.finish()?;
         Ok(Bitstream {
             accel_id,

@@ -22,10 +22,10 @@ use shef_crypto::drbg::HmacDrbg;
 use shef_crypto::ecies::EciesKeyPair;
 use shef_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
 use shef_crypto::sha2::{Sha256, Sha512};
+use shef_crypto::wire::{Reader, Writer};
 use shef_fpga::board::{image_names, Board};
 use shef_fpga::processor::KernelImage;
 
-use crate::wire::{Reader, Writer};
 use crate::ShefError;
 
 /// Private-memory slot names used by the Security Kernel.

@@ -1,5 +1,6 @@
 //! Error types for the ShEF core.
 
+use shef_crypto::wire::WireError;
 use shef_crypto::CryptoError;
 use shef_fpga::FpgaError;
 
@@ -78,6 +79,12 @@ impl From<FpgaError> for ShefError {
     }
 }
 
+impl From<WireError> for ShefError {
+    fn from(e: WireError) -> Self {
+        ShefError::Malformed(e.0)
+    }
+}
+
 impl From<shef_attest::AttestError> for ShefError {
     fn from(e: shef_attest::AttestError) -> Self {
         ShefError::AttestationFailed(e.to_string())
@@ -98,6 +105,22 @@ mod tests {
         assert!(e.to_string().contains("firmware"));
         let e = ShefError::Fault(ShieldFault::Poisoned { region: "r".into() });
         assert!(e.to_string().contains("poisoned"));
+    }
+
+    #[test]
+    fn wire_errors_surface_as_malformed_in_both_stacks() {
+        use shef_attest::AttestError;
+        // One truncated input, one codec error, one message in each
+        // stack's `Malformed` variant.
+        let err = shef_crypto::wire::Reader::new(&[1]).get_u64().unwrap_err();
+        assert_eq!(
+            crate::attest::AttestationReport::from_bytes(&[1]),
+            Err(ShefError::Malformed(err.0.clone()))
+        );
+        assert_eq!(
+            shef_attest::SealedDek::from_bytes(&[1]),
+            Err(AttestError::Malformed(err.0))
+        );
     }
 
     #[test]

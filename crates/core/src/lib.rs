@@ -16,8 +16,6 @@
 //!   interposes authenticated encryption on the register and memory
 //!   interfaces between accelerator and Shell, with per-region engine
 //!   sets, buffers and freshness counters, plus area and timing models.
-//! * [`pki`] — the certificate authority machinery binding device keys
-//!   to the Manufacturer and Security-Kernel hashes to a public list.
 //! * [`workflow`] — the four parties (Manufacturer, CSP, IP Vendor, Data
 //!   Owner) and the eleven-step lifecycle of Fig. 2 as a typed API.
 //! * [`attacks`] — the adversarial harness used to demonstrate that the
@@ -60,12 +58,9 @@ pub mod boot;
 pub mod error;
 pub mod fault;
 pub mod oram;
-pub mod pki;
 pub mod shield;
 pub mod sidechannel;
 pub mod workflow;
-
-mod wire;
 
 pub use error::ShefError;
 pub use fault::ShieldFault;

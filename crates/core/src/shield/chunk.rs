@@ -210,7 +210,7 @@ mod tests {
             long.as_str(),
         ] {
             for (idx, epoch) in [(0, 0), (7, 1), (u32::MAX, u64::MAX)] {
-                let mut w = crate::wire::Writer::new();
+                let mut w = shef_crypto::wire::Writer::new();
                 w.put_str("shef.chunk.v1");
                 w.put_str(name);
                 w.put_u32(idx);

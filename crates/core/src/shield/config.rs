@@ -16,9 +16,9 @@
 
 use shef_crypto::aes::{AesKeySize, SBoxParallelism};
 use shef_crypto::authenc::MacAlgorithm;
+use shef_crypto::wire::{Reader, Writer};
 
 use super::merkle::MerkleConfig;
-use crate::wire::{Reader, Writer};
 use crate::ShefError;
 
 /// A half-open address range `[start, start + len)` in device memory.
@@ -400,7 +400,7 @@ impl ShieldConfig {
         }
         let mut regions = Vec::with_capacity(n);
         for _ in 0..n {
-            let name = r.get_str()?;
+            let name = r.get_str()?.to_owned();
             let start = r.get_u64()?;
             let len = r.get_u64()?;
             let engine_set = EngineSetConfig::deserialize(&mut r)?;

@@ -30,6 +30,7 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 
 use shef_crypto::hmac::HmacSha256Key;
+use shef_crypto::wire::{Reader, Writer};
 use shef_fpga::clock::{CostLedger, Cycles};
 use shef_fpga::dram::Dram;
 use shef_fpga::shell::Shell;
@@ -38,7 +39,6 @@ use super::engine::AccessMode;
 use super::timing::{
     merkle_block_cost, PORT_READ_LANE, PORT_WRITE_LANE, SHELL_PORT_BYTES_PER_CYCLE,
 };
-use crate::wire::{Reader, Writer};
 use crate::ShefError;
 
 /// Bytes of each node digest (matches the chunk-tag width).

@@ -13,9 +13,9 @@
 //! and data via a common address for all registers").
 
 use shef_crypto::authenc::{AuthEncKey, Sealed};
+use shef_crypto::wire::{Reader, Writer};
 
 use super::config::RegisterInterfaceConfig;
-use crate::wire::{Reader, Writer};
 use crate::ShefError;
 
 fn reg_ad(index: usize) -> Vec<u8> {

@@ -27,10 +27,10 @@
 use shef_crypto::authenc::{AuthEncKey, MacAlgorithm, Sealed};
 use shef_crypto::ctr::ChunkIv;
 use shef_crypto::hkdf;
+use shef_crypto::wire::{Reader, Writer};
 
 use super::keys::DataEncryptionKey;
 use super::timing::{chunk_crypto_cost, ChunkCost};
-use crate::wire::Writer;
 use crate::ShefError;
 
 /// Direction of a stream frame, bound into every tag so host→device
@@ -78,11 +78,11 @@ impl StreamFrame {
     ///
     /// Returns [`ShefError::Malformed`] on truncated or corrupt input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ShefError> {
-        let mut r = crate::wire::Reader::new(bytes);
+        let mut r = Reader::new(bytes);
         let seq = r.get_u64()?;
         let sealed_bytes = r.get_bytes()?;
         r.finish()?;
-        let sealed = Sealed::from_bytes(&sealed_bytes)
+        let sealed = Sealed::from_bytes(sealed_bytes)
             .map_err(|e| ShefError::Malformed(format!("bad stream frame: {e}")))?;
         Ok(StreamFrame { seq, sealed })
     }
@@ -389,7 +389,7 @@ mod tests {
         ));
         // Truncated sealed payload inside a well-formed envelope fails
         // in Sealed::from_bytes, surfaced as Malformed.
-        let mut w = crate::wire::Writer::new();
+        let mut w = Writer::new();
         w.put_u64(0);
         w.put_bytes(&[0u8; 4]); // too short for IV + tag
         assert!(matches!(

@@ -10,9 +10,12 @@
 //! The lifecycle is exercised end-to-end by `tests/end_to_end.rs` and the
 //! `quickstart` example.
 
+use std::collections::BTreeMap;
+
+use shef_attest::{DeviceCert, ManufacturerCa, Measurement, MeasurementRegistry};
 use shef_crypto::drbg::HmacDrbg;
 use shef_crypto::ecies::{EciesKeyPair, EciesPublicKey};
-use shef_crypto::ed25519::SigningKey;
+use shef_crypto::ed25519::{SigningKey, VerifyingKey};
 use shef_fpga::board::{image_names, Board};
 use shef_fpga::keystore::KeyProtection;
 use shef_fpga::spb::seal_firmware;
@@ -23,7 +26,6 @@ use crate::attest::{
 };
 use crate::bitstream::{Bitstream, BitstreamKey, EncryptedBitstream};
 use crate::boot::{secure_boot, BootReport, FirmwarePayload};
-use crate::pki::{CertSubject, CertificateAuthority, MeasurementRegistry};
 use crate::shield::{DataEncryptionKey, LoadKey, Shield, ShieldConfig};
 use crate::ShefError;
 
@@ -31,9 +33,12 @@ use crate::ShefError;
 /// workspace. Its hash is what the measurement registry publishes.
 pub const SECURITY_KERNEL_BINARY: &[u8] = b"shef-security-kernel v1.0 (open source)";
 
-/// The FPGA Manufacturer: provisions devices and operates the root CA.
+/// The FPGA Manufacturer: provisions devices and operates the root CA
+/// (the same [`ManufacturerCa`] that certifies DEK-release devices).
 pub struct Manufacturer {
-    ca: CertificateAuthority,
+    ca: ManufacturerCa,
+    /// The published device directory: die serial → certificate.
+    certs: BTreeMap<Vec<u8>, DeviceCert>,
     rng: HmacDrbg,
 }
 
@@ -41,6 +46,7 @@ impl core::fmt::Debug for Manufacturer {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Manufacturer")
             .field("ca", &self.ca)
+            .field("devices", &self.certs.len())
             .finish_non_exhaustive()
     }
 }
@@ -52,21 +58,22 @@ impl Manufacturer {
         let mut rng = HmacDrbg::from_seed(seed);
         let ca_seed = rng.generate_array::<32>();
         Manufacturer {
-            ca: CertificateAuthority::new(&ca_seed),
+            ca: ManufacturerCa::from_seed(&ca_seed),
+            certs: BTreeMap::new(),
             rng,
         }
     }
 
     /// The CA root key all parties pin.
     #[must_use]
-    pub fn ca_root(&self) -> shef_crypto::ed25519::VerifyingKey {
+    pub fn ca_root(&self) -> VerifyingKey {
         self.ca.root_public()
     }
 
-    /// Read access to the CA (certificate lookups).
+    /// Looks up the published certificate of a device by die serial.
     #[must_use]
-    pub fn ca(&self) -> &CertificateAuthority {
-        &self.ca
+    pub fn device_cert(&self, die_serial: &[u8]) -> Option<&DeviceCert> {
+        self.certs.get(die_serial)
     }
 
     /// Fig. 2 steps 1–2: burns the AES device key, embeds the private
@@ -88,13 +95,10 @@ impl Manufacturer {
             image_names::SPB_FIRMWARE,
             seal_firmware(&aes_key, &firmware.to_bytes()),
         );
+        let die_serial = board.device.die_serial().to_vec();
         let device_public = SigningKey::from_seed(&device_key_seed).verifying_key();
-        self.ca.issue(
-            CertSubject::Device {
-                die_serial: board.device.die_serial().to_vec(),
-            },
-            device_public,
-        );
+        let cert = self.ca.certify_device_key(&die_serial, device_public);
+        self.certs.insert(die_serial, cert);
         Ok(())
     }
 }
@@ -152,7 +156,7 @@ pub struct IpVendor {
     rng: HmacDrbg,
     products: Vec<(AcceleratorProduct, BitstreamKey)>,
     registry: MeasurementRegistry,
-    ca_root: shef_crypto::ed25519::VerifyingKey,
+    ca_root: VerifyingKey,
 }
 
 impl core::fmt::Debug for IpVendor {
@@ -167,11 +171,7 @@ impl core::fmt::Debug for IpVendor {
 impl IpVendor {
     /// Creates a vendor trusting the given CA root and kernel registry.
     #[must_use]
-    pub fn new(
-        name: &str,
-        ca_root: shef_crypto::ed25519::VerifyingKey,
-        registry: MeasurementRegistry,
-    ) -> Self {
+    pub fn new(name: &str, ca_root: VerifyingKey, registry: MeasurementRegistry) -> Self {
         IpVendor {
             name: name.to_owned(),
             rng: HmacDrbg::from_seed(format!("shef.vendor.{name}").as_bytes()),
@@ -236,22 +236,21 @@ impl IpVendor {
     /// Completes attestation: verifies the kernel's response against the
     /// device certificate and, on success, returns the Bitstream Key
     /// sealed for the kernel plus the product's Shield public key
-    /// (Fig. 3 steps 5–7).
+    /// (Fig. 3 steps 5–7). The session is consumed: each challenge
+    /// releases at most one key.
     ///
     /// # Errors
     ///
-    /// * [`ShefError::AttestationFailed`] if any check fails.
-    /// * [`ShefError::ProtocolViolation`] for unknown products/devices.
+    /// * [`ShefError::AttestationFailed`] with the message of the
+    ///   typed [`shef_attest::AttestError`] of the first failed check.
+    /// * [`ShefError::ProtocolViolation`] for unknown products.
     pub fn complete_attestation(
         &mut self,
-        session: &VendorSession,
+        session: VendorSession,
         response: &AttestationResponse,
-        device_cert: &crate::pki::Certificate,
+        device_cert: &DeviceCert,
         accel_id: &str,
     ) -> Result<(shef_crypto::authenc::Sealed, EciesPublicKey), ShefError> {
-        device_cert
-            .verify(&self.ca_root)
-            .map_err(|_| ShefError::AttestationFailed("device certificate invalid".into()))?;
         let (product, bitstream_key) = self
             .products
             .iter()
@@ -260,7 +259,8 @@ impl IpVendor {
             ShefError::ProtocolViolation(format!("unknown product {accel_id}"))
         })?;
         let verification = VendorVerification {
-            device_public: device_cert.public_key,
+            ca_root: self.ca_root,
+            device_cert,
             known_kernels: &self.registry,
             expected_nonce: session.nonce,
             verif_key: &session.verif,
@@ -354,12 +354,10 @@ impl DataOwner {
         let (challenge, session) = vendor.begin_attestation();
         let response = kernel_handle_challenge(&mut board, &challenge)?;
         let device_cert = manufacturer
-            .ca()
-            .device_certificate(board.device.die_serial())
-            .ok_or_else(|| ShefError::AttestationFailed("device has no certificate".into()))?
-            .clone();
+            .device_cert(board.device.die_serial())
+            .ok_or_else(|| ShefError::AttestationFailed("device has no certificate".into()))?;
         let (sealed_key, shield_public) =
-            vendor.complete_attestation(&session, &response, &device_cert, &product.accel_id)?;
+            vendor.complete_attestation(session, &response, device_cert, &product.accel_id)?;
         // Kernel decrypts + loads the accelerator.
         let bitstream = kernel_receive_bitstream_key(&mut board, &sealed_key)?;
         if bitstream.accel_id != product.accel_id {
@@ -426,7 +424,9 @@ impl TestBench {
     pub fn new(scenario: &str) -> Self {
         let manufacturer = Manufacturer::new(format!("manufacturer.{scenario}").as_bytes());
         let mut registry = MeasurementRegistry::new();
-        registry.publish_kernel_hash(shef_crypto::sha2::Sha256::digest(SECURITY_KERNEL_BINARY));
+        registry.publish(Measurement(shef_crypto::sha2::Sha256::digest(
+            SECURITY_KERNEL_BINARY,
+        )));
         let vendor = IpVendor::new("acme-accel", manufacturer.ca_root(), registry);
         TestBench {
             manufacturer,
@@ -483,6 +483,16 @@ mod tests {
         assert_eq!(instance.accel_id, "demo");
         assert!(instance.shield.is_provisioned());
         assert!(instance.board.device.ports.monitors_armed());
+    }
+
+    #[test]
+    fn manufacturer_directory_lists_provisioned_devices() {
+        let mut bench = TestBench::new("directory");
+        bench.fresh_board(b"die-7").unwrap();
+        let cert = bench.manufacturer.device_cert(b"die-7").unwrap();
+        assert_eq!(cert.die_serial, b"die-7");
+        cert.verify(&bench.manufacturer.ca_root()).unwrap();
+        assert!(bench.manufacturer.device_cert(b"die-8").is_none());
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //!   (AES-CTR + HMAC or PMAC), the Shield's core mechanism.
 //! * [`ecies`] — asymmetric encryption (ephemeral X25519 + HKDF +
 //!   authenticated encryption) used for the Load Key path (Fig. 3, step 8).
+//! * [`wire`] — the one length-prefixed message codec, shared by the
+//!   core workflow and the attestation crate.
 //!
 //! # Example
 //!
@@ -69,6 +71,7 @@ pub mod hmac;
 pub mod pmac;
 pub mod scalar25519;
 pub mod sha2;
+pub mod wire;
 pub mod x25519;
 
 mod hex;

@@ -57,7 +57,7 @@
 //!
 //! Injection points are addressed by module path ([`InjectionPoint`]):
 //! `fpga::dram` (ciphertext and tag arenas), `fpga::ports` (debug
-//! ports), `core::wire` (frame encoding), `shield::stream` (sealed
+//! ports), `crypto::wire` (frame encoding), `shield::stream` (sealed
 //! frame payloads), `shield::regif` (sealed register writes) and
 //! `shield::pool` (worker lanes). The `shield::engine` containment
 //! state is probed after every detected integrity failure: the next
@@ -313,7 +313,9 @@ pub enum InjectionPoint {
     DramTags,
     /// `fpga::ports` — JTAG/ICAP/virtual-JTAG monitors.
     DebugPorts,
-    /// `core::wire` — frame encoding between endpoints.
+    /// `crypto::wire` — frame encoding between endpoints. The label
+    /// keeps its historical `core::wire.frame` spelling so verdict
+    /// reports stay comparable.
     WireFrame,
     /// `shield::stream` — sealed frame payloads.
     ShieldStream,
@@ -1580,15 +1582,13 @@ fn attest_env_for(seed: u64) -> Result<AttestationEnvironment, ScenarioReport> {
 /// performs (the kernel trusts the GCM seal, not the verifier
 /// signature, so the seal itself must bind the session).
 fn splice_sealed_dek(a: &AttestationTicket, b: &AttestationTicket) -> Option<AttestationTicket> {
-    // Ticket layout: len(tenant)‖tenant ‖ measurement[32] ‖ session[32]
-    // ‖ len(sealed)‖sealed ‖ verifier_pub[32] ‖ signature[64], where
-    // sealed = len(ct)‖ct[32] ‖ tag[16] → 56 bytes including prefixes.
-    const SEALED_SECTION: usize = 4 + (4 + 32) + 16;
+    // Both sealed DEKs encode to the same length (32-byte DEK + tag), so
+    // the host can overwrite A's encoding in place with B's.
     let mut bytes = a.to_bytes();
-    let b_bytes = b.to_bytes();
-    let a_off = 4 + a.tenant().len() + 64;
-    let b_off = 4 + b.tenant().len() + 64;
-    bytes[a_off..a_off + SEALED_SECTION].copy_from_slice(&b_bytes[b_off..b_off + SEALED_SECTION]);
+    let a_sealed = a.sealed_dek().to_bytes();
+    let b_sealed = b.sealed_dek().to_bytes();
+    let off = bytes.windows(a_sealed.len()).position(|w| w == a_sealed)?;
+    bytes[off..off + a_sealed.len()].copy_from_slice(&b_sealed);
     AttestationTicket::from_bytes(&bytes).ok()
 }
 

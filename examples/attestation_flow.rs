@@ -18,21 +18,27 @@
 //! 7. Shield Encryption Key → Data Owner; Load Key → Shield.
 //!
 //! It then demonstrates the negative paths: a replayed response, a
-//! tampered report, and a kernel hash missing from the registry are all
-//! rejected.
+//! tampered report, and a kernel hash missing from a vendor's registry
+//! are all rejected, each against a fresh vendor session.
 //!
 //! Run with: `cargo run --release --example attestation_flow`
 
+use shef::attest::MeasurementRegistry;
 use shef::core::attest::{kernel_handle_challenge, kernel_receive_bitstream_key};
 use shef::core::boot::secure_boot;
 use shef::core::shield::{EngineSetConfig, MemRange, Shield, ShieldConfig};
-use shef::core::workflow::TestBench;
+use shef::core::workflow::{IpVendor, TestBench};
 use shef::core::ShefError;
 use shef::crypto::to_hex;
 use shef::fpga::board::image_names;
 
 fn hex8(bytes: &[u8]) -> String {
     format!("{}…", &to_hex(bytes)[..16])
+}
+
+/// True if the vendor refused with an attestation error naming `why`.
+fn rejected<T>(result: Result<T, ShefError>, why: &str) -> bool {
+    matches!(result, Err(ShefError::AttestationFailed(m)) if m.contains(why))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,10 +54,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             EngineSetConfig::default(),
         )
         .build()?;
-    let product =
-        bench
-            .vendor
-            .package_accelerator("attest-demo-v1", config, b"<netlist>".to_vec())?;
+    let product = bench.vendor.package_accelerator(
+        "attest-demo-v1",
+        config.clone(),
+        b"<netlist>".to_vec(),
+    )?;
     board.boot_medium.store(
         image_names::ACCELERATOR_BITSTREAM,
         product.encrypted_bitstream.0.clone(),
@@ -110,14 +117,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Steps 5–6: vendor-side verification chain.
     let device_cert = bench
         .manufacturer
-        .ca()
-        .device_certificate(board.device.die_serial())
-        .expect("manufacturer registered the device at production time")
-        .clone();
+        .device_cert(board.device.die_serial())
+        .expect("manufacturer registered the device at production time");
     let (sealed_bitstream_key, shield_public) =
         bench
             .vendor
-            .complete_attestation(&session, &response, &device_cert, &product.accel_id)?;
+            .complete_attestation(session, &response, device_cert, &product.accel_id)?;
     println!();
     println!("[vendor]  device cert ✓  kernel registry ✓  nonce ✓  bitstream hash ✓");
     println!(
@@ -141,39 +146,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("[owner]   LoadKey accepted; Shield provisioned ✓");
     println!();
 
-    // ---- Negative paths: what the protocol must reject.
+    // ---- Negative paths: what the protocol must reject. Each runs
+    // against a fresh vendor session: the one above released its key.
     // (a) Replay: an old response against a fresh challenge fails the
     //     nonce check.
     let (_, fresh_session) = bench.vendor.begin_attestation();
-    let replay = bench.vendor.complete_attestation(
-        &fresh_session,
-        &response,
-        &device_cert,
-        &product.accel_id,
-    );
-    assert!(matches!(replay, Err(ShefError::AttestationFailed(_))));
+    let replay =
+        bench
+            .vendor
+            .complete_attestation(fresh_session, &response, device_cert, &product.accel_id);
+    assert!(rejected(replay, "nonce"));
     println!("[vendor]  replayed response     → rejected ✓ (stale nonce)");
 
     // (b) Tampered report: flipping a bit in H(Enc(Accel)) breaks σ_α.
     let mut tampered = response.clone();
     tampered.report.enc_bitstream_hash[0] ^= 1;
+    let (_, fresh_session) = bench.vendor.begin_attestation();
     let bad =
         bench
             .vendor
-            .complete_attestation(&session, &tampered, &device_cert, &product.accel_id);
-    assert!(bad.is_err());
+            .complete_attestation(fresh_session, &tampered, device_cert, &product.accel_id);
+    assert!(rejected(bad, "σ_α"));
     println!("[vendor]  tampered α            → rejected ✓ (σ_α invalid)");
 
-    // (c) Unknown kernel: a report claiming an unregistered H(SecKrnl)
-    //     fails the public-registry lookup even with a valid-looking
-    //     signature chain.
-    let mut rogue = response.clone();
-    rogue.report.kernel_hash = [0xEE; 32];
-    let rogue_result =
-        bench
-            .vendor
-            .complete_attestation(&session, &rogue, &device_cert, &product.accel_id);
-    assert!(rogue_result.is_err());
+    // (c) Unknown kernel: a genuine response, but to a vendor whose
+    //     public registry does not list this H(SecKrnl). Every
+    //     signature verifies; the registry lookup refuses.
+    let mut paranoid = IpVendor::new(
+        "paranoid",
+        bench.manufacturer.ca_root(),
+        MeasurementRegistry::new(),
+    );
+    paranoid.package_accelerator(&product.accel_id, config, b"<netlist>".to_vec())?;
+    let (challenge, session) = paranoid.begin_attestation();
+    let genuine = kernel_handle_challenge(&mut board, &challenge)?;
+    let miss = paranoid.complete_attestation(session, &genuine, device_cert, &product.accel_id);
+    assert!(rejected(miss, "registry"));
     println!("[vendor]  unregistered kernel   → rejected ✓ (registry miss)");
 
     println!();

@@ -115,7 +115,7 @@ fn tampered_staged_bitstream_fails_attestation() {
 
 #[test]
 fn unknown_kernel_is_rejected_by_vendor() {
-    use shef::core::pki::MeasurementRegistry;
+    use shef::attest::MeasurementRegistry;
     use shef::core::workflow::{Csp, DataOwner, IpVendor};
 
     let mut manufacturer = Manufacturer::new(b"it-maker");

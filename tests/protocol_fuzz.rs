@@ -1,13 +1,19 @@
-//! Fuzz-style property tests over the protocol wire formats: corrupted
-//! or truncated attestation messages, certificates and bitstreams must
-//! be rejected cleanly (errors, never panics or silent acceptance).
+//! Fuzz-style property tests over every parser on the shared wire
+//! codec: corrupted or truncated attestation messages, certificates and
+//! bitstreams must be rejected cleanly (errors, never panics or silent
+//! acceptance).
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use shef::attest::{
+    AkCert, AttestationEnvironment, AttestationRoot, AttestationTicket, DeviceCert, ManufacturerCa,
+    Quote, SealedDek,
+};
 use shef::core::attest::AttestationReport;
 use shef::core::bitstream::{Bitstream, BitstreamKey, EncryptedBitstream};
-use shef::core::pki::{CertSubject, Certificate, CertificateAuthority};
 use shef::core::shield::{EngineSetConfig, LoadKey, MemRange, ShieldConfig};
-use shef::crypto::ed25519::{Signature, SigningKey, VerifyingKey};
+use shef::crypto::ed25519::{Signature, VerifyingKey};
 
 fn sample_report() -> AttestationReport {
     AttestationReport {
@@ -32,7 +38,79 @@ fn sample_bitstream() -> Bitstream {
     }
 }
 
+/// Honest attestation messages (quote, ticket, sealed DEK), built once.
+fn honest_messages() -> &'static [Vec<u8>; 3] {
+    static MESSAGES: OnceLock<[Vec<u8>; 3]> = OnceLock::new();
+    MESSAGES.get_or_init(|| {
+        let mut env = AttestationEnvironment::new(b"protocol-fuzz").unwrap();
+        let challenge = env.verifier_mut().challenge();
+        let quote = env.kernel_mut().quote(&challenge).unwrap();
+        let ticket = env
+            .verifier_mut()
+            .verify_and_provision(&quote, "fuzz-tenant", [0x5Au8; 32])
+            .unwrap();
+        [
+            quote.to_bytes(),
+            ticket.to_bytes(),
+            ticket.sealed_dek().to_bytes(),
+        ]
+    })
+}
+
+/// Parses `bytes` as message kind `kind` (0 quote, 1 ticket, 2 sealed
+/// DEK) and re-encodes it: `None` if the parse failed.
+fn reparse(kind: usize, bytes: &[u8]) -> Option<Vec<u8>> {
+    match kind {
+        0 => Quote::from_bytes(bytes).ok().map(|m| m.to_bytes()),
+        1 => AttestationTicket::from_bytes(bytes)
+            .ok()
+            .map(|m| m.to_bytes()),
+        _ => SealedDek::from_bytes(bytes).ok().map(|m| m.to_bytes()),
+    }
+}
+
 proptest! {
+    #[test]
+    fn truncated_attestation_messages_are_rejected(kind in 0usize..3, cut in any::<u16>()) {
+        let bytes = &honest_messages()[kind];
+        let cut = cut as usize % bytes.len();
+        prop_assert!(reparse(kind, &bytes[..cut]).is_none(), "truncation at {} parsed", cut);
+        // Trailing garbage is rejected just like a missing tail.
+        let mut long = bytes.clone();
+        long.push(0);
+        prop_assert!(reparse(kind, &long).is_none());
+    }
+
+    #[test]
+    fn bit_flipped_attestation_messages_never_roundtrip(
+        kind in 0usize..3,
+        pos in any::<u16>(),
+        bit in 0u8..8,
+    ) {
+        let bytes = &honest_messages()[kind];
+        let mut flipped = bytes.clone();
+        let idx = pos as usize % flipped.len();
+        flipped[idx] ^= 1 << bit;
+        // Either the flip breaks the layout, or it parses to a message
+        // whose canonical encoding is the flipped bytes — never back to
+        // the honest one.
+        if let Some(reencoded) = reparse(kind, &flipped) {
+            prop_assert_eq!(&reencoded, &flipped);
+            prop_assert_ne!(&reencoded, bytes);
+        }
+    }
+
+    #[test]
+    fn random_bytes_never_parse_as_attestation_messages(
+        kind in 0usize..3,
+        bytes in proptest::collection::vec(any::<u8>(), 0..600),
+    ) {
+        // Parsing is total; anything that does parse is canonical.
+        if let Some(reencoded) = reparse(kind, &bytes) {
+            prop_assert_eq!(reencoded, bytes);
+        }
+    }
+
     #[test]
     fn corrupted_reports_never_panic_or_roundtrip(idx in 0usize..220, xor in 1u8..=255) {
         let bytes = sample_report().to_bytes();
@@ -68,14 +146,15 @@ proptest! {
     #[test]
     fn random_bytes_never_parse_as_certificates(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
         // Parsing may succeed structurally only if lengths happen to
-        // line up, but verification against a real CA must always fail.
-        let mut ca = CertificateAuthority::new(&[1u8; 32]);
-        let _ = ca.issue(
-            CertSubject::Vendor { name: "v".into() },
-            SigningKey::from_seed(&[2u8; 32]).verifying_key(),
-        );
-        if let Ok(cert) = Certificate::from_bytes(&bytes) {
+        // line up, but verification against a real CA (device cert) or
+        // a real device identity (AK cert) must always fail.
+        let ca = ManufacturerCa::from_seed(b"fuzz-ca");
+        let device = ca.certify_device(b"die-fuzz", &AttestationRoot::from_device_key(&[2u8; 32]));
+        if let Ok(cert) = DeviceCert::from_bytes(&bytes) {
             prop_assert!(cert.verify(&ca.root_public()).is_err());
+        }
+        if let Ok(cert) = AkCert::from_bytes(&bytes) {
+            prop_assert!(cert.verify(&device.device_public).is_err());
         }
     }
 
