@@ -97,7 +97,7 @@ impl AttestationEnvironment {
         // The Manufacturer derives the same root offline to certify.
         let device_cert = ca.certify_device(&die_serial, &root);
         let mut kernel = SecurityKernel::new(root, &die_serial, device_cert)?;
-        kernel.load_shield_bitstream(BITSTREAM_LABEL, bitstream);
+        kernel.measure(BITSTREAM_LABEL, bitstream);
 
         // The Data Owner's verifier pins the Manufacturer root and
         // publishes the audited bitstream measurement.

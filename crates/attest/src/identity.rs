@@ -91,14 +91,6 @@ impl ManufacturerCa {
     #[must_use]
     pub fn certify_device(&self, die_serial: &[u8], root: &AttestationRoot) -> DeviceCert {
         let device_public = device_identity(root, die_serial).verifying_key();
-        self.certify_device_key(die_serial, device_public)
-    }
-
-    /// Signs the binding die serial → `device_public` for a device key
-    /// the Manufacturer generated itself (the bitstream-key release's
-    /// firmware-held device key, §3 step 2).
-    #[must_use]
-    pub fn certify_device_key(&self, die_serial: &[u8], device_public: VerifyingKey) -> DeviceCert {
         let message = DeviceCert::message(die_serial, &device_public);
         DeviceCert {
             die_serial: die_serial.to_vec(),
@@ -274,15 +266,6 @@ mod tests {
         cert.verify(&ca.root_public()).unwrap();
         let parsed = DeviceCert::from_bytes(&cert.to_bytes()).unwrap();
         assert_eq!(parsed, cert);
-    }
-
-    #[test]
-    fn certify_device_key_matches_certify_device() {
-        let ca = ManufacturerCa::from_seed(b"ca");
-        let root = AttestationRoot::from_device_key(&[1u8; 32]);
-        let derived = device_identity(&root, b"die-7").verifying_key();
-        let by_root = ca.certify_device(b"die-7", &root).to_bytes();
-        assert_eq!(ca.certify_device_key(b"die-7", derived).to_bytes(), by_root);
     }
 
     #[test]

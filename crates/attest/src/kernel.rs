@@ -5,27 +5,35 @@
 //! is a two-state machine:
 //!
 //! ```text
-//!            load_shield_bitstream(label, image)
-//!   ┌───────┐ ──────────────────────────────────▶ ┌─────────────┐
-//!   │ Reset │                                     │ Operational │──┐
-//!   └───────┘                                     └─────────────┘  │
-//!       │                                            ▲    │  load_shield_bitstream
-//!       │ quote / redeem → AttestError::State        └────┘  (extends the chain,
-//!       ▼                                                     re-derives the AK)
+//!            measure(label, image)
+//!   ┌───────┐ ─────────────────────▶ ┌─────────────┐
+//!   │ Reset │                        │ Operational │──┐
+//!   └───────┘                        └─────────────┘  │ measure
+//!       │                               ▲             │ (extends the chain,
+//!       │ quote / redeem                └─────────────┘  re-derives the AK)
+//!       ▼ → AttestError::State
 //!     reject
 //! ```
 //!
+//! What gets measured is the deployment's choice: the DEK flow measures
+//! the Shield bitstream, the IP Vendor's flow measures the Security
+//! Kernel binary and then the staged encrypted accelerator.
+//!
 //! In `Operational` the kernel holds an Attestation Key derived from
 //! `HKDF(root ‖ measurement)` — device-bound *and* measurement-bound,
-//! so a kernel that loaded a different bitstream simply holds a
-//! different key and cannot sign convincing quotes for the good one —
-//! plus a self-issued [`AkCert`] tying the AK to the measurement under
-//! the device identity.
+//! so a kernel that loaded a different image simply holds a different
+//! key and cannot sign convincing quotes for the good one — plus a
+//! self-issued [`AkCert`] tying the AK to the measurement under the
+//! device identity.
 //!
-//! Per verified session the kernel keeps one symmetric session key,
-//! consumed when a matching [`AttestationTicket`] is redeemed
-//! ([`SecurityKernel::redeem`], the sole constructor of
-//! [`AttestedTenant`]).
+//! Every quote opens one session: the secret it shares with the
+//! verifier that sent the challenge. A session is consumed when a
+//! matching ticket of either kind is redeemed —
+//! [`SecurityKernel::redeem`] (the sole constructor of
+//! [`AttestedTenant`]) or [`SecurityKernel::redeem_bitstream_key`].
+//! At most [`MAX_OPEN_SESSIONS`] stay open; a quote beyond that evicts
+//! the oldest, so a host relaying challenges in a loop cannot grow the
+//! table.
 //!
 //! # Example
 //!
@@ -38,12 +46,12 @@
 //! let cert = ca.certify_device(b"die-0001", &root);
 //! let mut kernel = SecurityKernel::new(root, b"die-0001", cert)?;
 //! assert_eq!(kernel.state(), KernelState::Reset);
-//! kernel.load_shield_bitstream("shield-bitstream", b"mock shield image");
+//! kernel.measure("shield-bitstream", b"mock shield image");
 //! assert_eq!(kernel.state(), KernelState::Operational);
 //! # Ok::<(), shef_attest::AttestError>(())
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use shef_crypto::ecies::EciesKeyPair;
 use shef_crypto::ed25519::SigningKey;
@@ -53,7 +61,9 @@ use shef_telemetry::{Counter, Telemetry};
 
 use crate::identity::{device_identity, AkCert, DeviceCert};
 use crate::measure::{Measurement, MeasurementChain};
-use crate::ticket::{session_key, AttestationTicket, AttestedTenant};
+use crate::ticket::{
+    AttestationTicket, AttestedTenant, BitstreamKeyTicket, SessionSecret, Ticket, TicketKind,
+};
 use crate::verifier::{Challenge, Quote};
 use crate::AttestError;
 
@@ -62,14 +72,18 @@ const AK_SIGN_LABEL: &[u8] = b"shef.attest.ak.sign.v1";
 /// HKDF label for the X25519 (key-exchange) half of the AK.
 const AK_KEM_LABEL: &[u8] = b"shef.attest.ak.kem.v1";
 
+/// How many quoted-but-unredeemed sessions a kernel keeps; a quote
+/// beyond this evicts the oldest open session.
+pub const MAX_OPEN_SESSIONS: usize = 64;
+
 /// Where the kernel state machine currently is (see the module docs for
 /// the transition diagram).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelState {
-    /// Booted and measured, but no Shield bitstream loaded yet: the
-    /// kernel holds no Attestation Key and refuses to quote.
+    /// Booted, but nothing measured yet: the kernel holds no
+    /// Attestation Key and refuses to quote.
     Reset,
-    /// A Shield bitstream has been measured in; the AK exists and
+    /// An image has been measured in; the AK exists and
     /// quotes/redemptions are served.
     Operational,
 }
@@ -81,6 +95,13 @@ struct AttestationKey {
     sign: SigningKey,
     kem: EciesKeyPair,
     cert: AkCert,
+}
+
+/// One quoted session awaiting its ticket.
+struct OpenSession {
+    nonce: [u8; 32],
+    secret: SessionSecret,
+    measurement: Measurement,
 }
 
 /// Counters the kernel bumps when a registry is attached.
@@ -97,9 +118,9 @@ pub struct SecurityKernel {
     identity: SigningKey,
     chain: MeasurementChain,
     ak: Option<AttestationKey>,
-    /// Open sessions: challenge nonce → (session key, measurement at
-    /// quote time). An entry is removed only by a successful redeem.
-    sessions: BTreeMap<[u8; 32], ([u8; 32], Measurement)>,
+    /// Open sessions, oldest first. An entry leaves by a successful
+    /// redeem, or by eviction once [`MAX_OPEN_SESSIONS`] are open.
+    sessions: VecDeque<OpenSession>,
     tele: Option<KernelTelemetry>,
 }
 
@@ -141,7 +162,7 @@ impl SecurityKernel {
             identity,
             chain: MeasurementChain::new(),
             ak: None,
-            sessions: BTreeMap::new(),
+            sessions: VecDeque::new(),
             tele: None,
         })
     }
@@ -171,12 +192,12 @@ impl SecurityKernel {
         &self.device_cert
     }
 
-    /// Measures a Shield bitstream into the chain and (re)derives the
+    /// Measures a labelled image into the chain and (re)derives the
     /// Attestation Key under the new measurement. Transitions
-    /// `Reset → Operational`; calling again extends the chain, which
-    /// models a partial-reconfiguration reload — the old AK (and any
-    /// quotes signed with it) stops matching the new measurement.
-    pub fn load_shield_bitstream(&mut self, label: &str, image: &[u8]) {
+    /// `Reset → Operational`; calling again extends the chain (a second
+    /// image, or a partial-reconfiguration reload) — the old AK (and
+    /// any quotes signed with it) stops matching the new measurement.
+    pub fn measure(&mut self, label: &str, image: &[u8]) {
         self.chain.extend(label, image);
         let measurement = self.chain.current();
         let sign_seed = hkdf::derive_key32(AK_SIGN_LABEL, &self.root.to_bytes(), &measurement.0);
@@ -206,7 +227,7 @@ impl SecurityKernel {
         self.ak
             .as_ref()
             .map(|ak| ak.measurement)
-            .ok_or_else(|| AttestError::State("no Shield bitstream has been measured".into()))
+            .ok_or_else(|| AttestError::State("no image has been measured".into()))
     }
 
     /// The self-issued Attestation-Key certificate.
@@ -222,32 +243,42 @@ impl SecurityKernel {
     }
 
     /// Answers a verifier challenge with a signed quote, opening a
-    /// session keyed by the challenge nonce.
+    /// session keyed by the challenge nonce (replacing any open session
+    /// under the same nonce, and evicting the oldest one when
+    /// [`MAX_OPEN_SESSIONS`] are already open).
     ///
     /// # Errors
     ///
     /// Returns [`AttestError::State`] in `Reset` — a kernel with no
-    /// measured bitstream has nothing to attest.
+    /// measured image has nothing to attest.
     pub fn quote(&mut self, challenge: &Challenge) -> Result<Quote, AttestError> {
         let Some(ak) = self.ak.as_ref() else {
             if let Some(t) = &self.tele {
                 t.rejected.inc();
             }
             return Err(AttestError::State(
-                "cannot quote before a Shield bitstream is measured".into(),
+                "cannot quote before an image is measured".into(),
             ));
         };
         let shared = ak
             .kem
             .diffie_hellman(&shef_crypto::ecies::EciesPublicKey(challenge.verifier_kem));
-        let key = session_key(
-            &shared,
+        let secret = SessionSecret::new(
+            shared,
             &challenge.nonce,
             &challenge.verifier_kem,
             &ak.kem.public_key().0,
             &ak.measurement,
         );
-        self.sessions.insert(challenge.nonce, (key, ak.measurement));
+        self.sessions.retain(|s| s.nonce != challenge.nonce);
+        if self.sessions.len() == MAX_OPEN_SESSIONS {
+            self.sessions.pop_front();
+        }
+        self.sessions.push_back(OpenSession {
+            nonce: challenge.nonce,
+            secret,
+            measurement: ak.measurement,
+        });
         if let Some(t) = &self.tele {
             t.quotes.inc();
         }
@@ -261,56 +292,77 @@ impl SecurityKernel {
         ))
     }
 
-    /// Redeems a verifier-issued ticket against the session it names,
-    /// unsealing the tenant DEK inside the enclave. This is the **only**
-    /// constructor of [`AttestedTenant`]. Sessions are one-shot: a
-    /// successful redeem consumes the session, so a second redeem of the
-    /// same ticket fails with [`AttestError::UnknownSession`]. A failed
-    /// unseal leaves the session open — a tampered ticket cannot burn
-    /// the honest party's session.
+    /// Redeems a verifier-issued DEK ticket against the session it
+    /// names, unsealing the tenant DEK inside the enclave. This is the
+    /// **only** constructor of [`AttestedTenant`]. Sessions are
+    /// one-shot: a successful redeem consumes the session, so a second
+    /// redeem of the same ticket fails with
+    /// [`AttestError::UnknownSession`]. A failed unseal leaves the
+    /// session open — a tampered ticket cannot burn the honest party's
+    /// session.
     ///
     /// # Errors
     ///
     /// * [`AttestError::UnknownSession`] — the ticket names a nonce with
-    ///   no open session (never quoted here, or already redeemed).
+    ///   no open session (never quoted here, evicted, or already
+    ///   redeemed).
     /// * [`AttestError::UnknownMeasurement`] — the ticket's stated
     ///   measurement is not the one this kernel quoted for the session.
     /// * [`AttestError::SealTamper`] — the sealed DEK failed
-    ///   authenticated decryption (tampered, or spliced from another
-    ///   session/tenant/measurement).
+    ///   authenticated decryption (tampered, spliced from another
+    ///   session/tenant/measurement, or sealed as another ticket kind).
     pub fn redeem(&mut self, ticket: &AttestationTicket) -> Result<AttestedTenant, AttestError> {
-        let session = ticket.session();
-        let Some((key, measurement)) = self.sessions.get(&session).copied() else {
-            if let Some(t) = &self.tele {
+        let dek = self.redeem_key(ticket)?;
+        Ok(AttestedTenant::new(ticket.clone(), dek))
+    }
+
+    /// Redeems the IP Vendor's Bitstream-Key ticket into the plain
+    /// Bitstream Encryption Key, under the same one-shot session rules
+    /// as [`SecurityKernel::redeem`].
+    ///
+    /// # Errors
+    ///
+    /// As [`SecurityKernel::redeem`].
+    pub fn redeem_bitstream_key(
+        &mut self,
+        ticket: &BitstreamKeyTicket,
+    ) -> Result<[u8; 32], AttestError> {
+        self.redeem_key(ticket)
+    }
+
+    fn redeem_key<K: TicketKind>(&mut self, ticket: &Ticket<K>) -> Result<[u8; 32], AttestError> {
+        let opened = self.open_session(ticket);
+        if let Some(t) = &self.tele {
+            if opened.is_ok() {
+                t.redeemed.inc();
+            } else {
                 t.rejected.inc();
             }
-            return Err(AttestError::UnknownSession);
-        };
-        if ticket.measurement() != measurement {
-            if let Some(t) = &self.tele {
-                t.rejected.inc();
-            }
+        }
+        opened
+    }
+
+    fn open_session<K: TicketKind>(&mut self, ticket: &Ticket<K>) -> Result<[u8; 32], AttestError> {
+        let nonce = ticket.session();
+        let index = self
+            .sessions
+            .iter()
+            .position(|s| s.nonce == nonce)
+            .ok_or(AttestError::UnknownSession)?;
+        let session = &self.sessions[index];
+        if ticket.measurement() != session.measurement {
             return Err(AttestError::UnknownMeasurement(
                 ticket.measurement().to_hex(),
             ));
         }
-        let dek = match ticket
-            .sealed_dek()
-            .open(&key, ticket.tenant(), &measurement, &session)
-        {
-            Ok(dek) => dek,
-            Err(e) => {
-                if let Some(t) = &self.tele {
-                    t.rejected.inc();
-                }
-                return Err(e);
-            }
-        };
-        self.sessions.remove(&session);
-        if let Some(t) = &self.tele {
-            t.redeemed.inc();
-        }
-        Ok(AttestedTenant::new(ticket.clone(), dek))
+        let key = ticket.sealed_key().open::<K>(
+            &session.secret,
+            ticket.subject(),
+            &session.measurement,
+            &nonce,
+        )?;
+        self.sessions.remove(index);
+        Ok(key)
     }
 }
 
@@ -352,10 +404,10 @@ mod tests {
     #[test]
     fn reload_changes_measurement_and_ak() {
         let mut k = kernel();
-        k.load_shield_bitstream("shield", b"image-a");
+        k.measure("shield", b"image-a");
         let m1 = k.measurement().unwrap();
         let ak1 = k.ak_cert().unwrap().ak_public;
-        k.load_shield_bitstream("shield", b"image-b");
+        k.measure("shield", b"image-b");
         let m2 = k.measurement().unwrap();
         let ak2 = k.ak_cert().unwrap().ak_public;
         assert_ne!(m1, m2);
@@ -365,8 +417,102 @@ mod tests {
     #[test]
     fn ak_cert_verifies_under_device_identity() {
         let mut k = kernel();
-        k.load_shield_bitstream("shield", b"image");
+        k.measure("shield", b"image");
         let device_public = k.device_cert().device_public;
         k.ak_cert().unwrap().verify(&device_public).unwrap();
+    }
+
+    #[test]
+    fn bitstream_key_ticket_redeems_into_the_plain_key() {
+        let mut env = crate::AttestationEnvironment::new(b"kernel-tests").unwrap();
+        let challenge = env.verifier_mut().challenge();
+        let quote = env.kernel_mut().quote(&challenge).unwrap();
+        let ticket = env
+            .verifier_mut()
+            .verify_and_release(&quote, "accel-1", [0x77u8; 32])
+            .unwrap();
+        ticket.verify(&env.verifier_public(), "accel-1").unwrap();
+        assert_eq!(
+            env.kernel_mut().redeem_bitstream_key(&ticket),
+            Ok([0x77u8; 32])
+        );
+        assert_eq!(
+            env.kernel_mut().redeem_bitstream_key(&ticket),
+            Err(AttestError::UnknownSession)
+        );
+    }
+
+    #[test]
+    fn ticket_kinds_do_not_cross() {
+        let mut env = crate::AttestationEnvironment::new(b"kernel-tests").unwrap();
+        let ch_dek = env.verifier_mut().challenge();
+        let q_dek = env.kernel_mut().quote(&ch_dek).unwrap();
+        let dek_ticket = env
+            .verifier_mut()
+            .verify_and_provision(&q_dek, "alice", [0x11u8; 32])
+            .unwrap();
+        let ch_bk = env.verifier_mut().challenge();
+        let q_bk = env.kernel_mut().quote(&ch_bk).unwrap();
+        let bk_ticket = env
+            .verifier_mut()
+            .verify_and_release(&q_bk, "alice", [0x22u8; 32])
+            .unwrap();
+
+        // Both kinds share one wire layout, so each parses as the other;
+        // the kind-specific session key and AD tag refuse the unseal.
+        let dek_as_bk = BitstreamKeyTicket::from_bytes(&dek_ticket.to_bytes()).unwrap();
+        assert!(matches!(
+            env.kernel_mut().redeem_bitstream_key(&dek_as_bk),
+            Err(AttestError::SealTamper(_))
+        ));
+        let bk_as_dek = AttestationTicket::from_bytes(&bk_ticket.to_bytes()).unwrap();
+        assert!(matches!(
+            env.kernel_mut().redeem(&bk_as_dek),
+            Err(AttestError::SealTamper(_))
+        ));
+        assert!(bk_as_dek.verify(&env.verifier_public(), "alice").is_err());
+
+        // The refused cross-kind attempts left both sessions open.
+        assert_eq!(
+            env.kernel_mut().redeem(&dek_ticket).unwrap().data_key(),
+            [0x11u8; 32]
+        );
+        assert_eq!(
+            env.kernel_mut().redeem_bitstream_key(&bk_ticket),
+            Ok([0x22u8; 32])
+        );
+    }
+
+    #[test]
+    fn open_sessions_are_capped_oldest_first() {
+        let mut env = crate::AttestationEnvironment::new(b"kernel-tests").unwrap();
+        let first = env.verifier_mut().challenge();
+        let q_first = env.kernel_mut().quote(&first).unwrap();
+        let evicted = env
+            .verifier_mut()
+            .verify_and_provision(&q_first, "victim", [1u8; 32])
+            .unwrap();
+        // A host relaying challenges in a loop: every quote opens a
+        // session nobody redeems.
+        for _ in 0..MAX_OPEN_SESSIONS {
+            let flood = env.verifier_mut().challenge();
+            env.kernel_mut().quote(&flood).unwrap();
+        }
+        assert_eq!(env.kernel().sessions.len(), MAX_OPEN_SESSIONS);
+        let newest = env.verifier_mut().challenge();
+        let q_newest = env.kernel_mut().quote(&newest).unwrap();
+        let honest = env
+            .verifier_mut()
+            .verify_and_provision(&q_newest, "alice", [2u8; 32])
+            .unwrap();
+        assert_eq!(env.kernel().sessions.len(), MAX_OPEN_SESSIONS);
+        assert_eq!(
+            env.kernel_mut().redeem(&honest).unwrap().data_key(),
+            [2u8; 32]
+        );
+        assert_eq!(
+            env.kernel_mut().redeem(&evicted).unwrap_err(),
+            AttestError::UnknownSession
+        );
     }
 }

@@ -1,11 +1,18 @@
-//! Remote attestation and tenant key provisioning for ShEF.
+//! Remote attestation and key provisioning for ShEF.
 //!
-//! This crate closes the gap between the SPB secure-boot fragment in
-//! `shef-fpga` and the multi-tenant Shield service in `shef-core`: it
-//! is the paper's end-to-end protocol (§4, Fig. 3) by which a Data
-//! Owner convinces itself that a genuine ShEF Security Kernel, running
-//! a known-good Shield bitstream on a genuine device, is the *only*
-//! party able to recover its Data Encryption Key.
+//! This crate is the workspace's one attestation protocol: the paper's
+//! end-to-end handshake (§4, Fig. 3) by which a remote party convinces
+//! itself that a genuine ShEF Security Kernel, running a known-good
+//! measured image on a genuine device, is the *only* party able to
+//! recover the key it releases. Two keys are released this way, as two
+//! [`TicketKind`]s on the same quote and session machinery:
+//!
+//! * the Data Owner's **Data Encryption Key** ([`AttestationTicket`]),
+//!   which admits a tenant to the multi-tenant Shield service in
+//!   `shef-core`;
+//! * the IP Vendor's **Bitstream Encryption Key**
+//!   ([`BitstreamKeyTicket`]), which lets `shef_core::workflow` decrypt
+//!   and load the accelerator the kernel measured.
 //!
 //! # The protocol
 //!
@@ -21,16 +28,18 @@
 //!   Attestation Key from root ‖ measurement, and signs Ed25519
 //!   [`Quote`]s;
 //! * the **Remote Verifier** ([`RemoteVerifier`]) — the Data Owner's
-//!   agent — issues nonce challenges, checks the certificate chain and
-//!   the measurement against a known-good registry, and on success
-//!   seals the tenant DEK (AES-GCM) to the enclave session, issuing a
-//!   signed [`AttestationTicket`].
+//!   or the IP Vendor's agent — issues nonce challenges, checks the
+//!   certificate chain and the measurement against a known-good
+//!   registry, and on success seals its key (AES-GCM) to the enclave
+//!   session, issuing a signed ticket.
 //!
-//! The kernel redeems the ticket ([`SecurityKernel::redeem`]) into an
+//! The kernel redeems a DEK ticket ([`SecurityKernel::redeem`]) into an
 //! [`AttestedTenant`] — the only constructor of that type — which is
 //! what `shef_core::shield::ShieldService::register_tenant` demands:
 //! tenant admission is structurally impossible without a completed
-//! attestation.
+//! attestation. A Bitstream-Key ticket redeems
+//! ([`SecurityKernel::redeem_bitstream_key`]) into the plain key, never
+//! an `AttestedTenant`.
 //!
 //! ```text
 //!  Verifier                          Security Kernel
@@ -84,7 +93,10 @@ pub use identity::{AkCert, DeviceCert, ManufacturerCa};
 pub use kernel::{KernelState, SecurityKernel};
 pub use measure::{Measurement, MeasurementChain, MeasurementRegistry};
 pub use shef_fpga::spb::AttestationRoot;
-pub use ticket::{AttestationTicket, AttestedTenant, SealedDek};
+pub use ticket::{
+    AttestationTicket, AttestedTenant, BitstreamKey, BitstreamKeyTicket, DataKey, SealedKey,
+    Ticket, TicketKind,
+};
 pub use verifier::{Challenge, Quote, RemoteVerifier};
 
 /// A typed attestation failure. Every rejection path in the protocol
@@ -107,8 +119,9 @@ pub enum AttestError {
     /// The quote names a nonce that was already consumed by a
     /// successful verification — a replayed transcript.
     ReplayedNonce,
-    /// The sealed DEK failed authenticated decryption: tampered
-    /// ciphertext, or a blob spliced from another session.
+    /// The sealed key failed authenticated decryption: tampered
+    /// ciphertext, a blob spliced from another session, or a ticket of
+    /// the other kind.
     SealTamper(String),
     /// The ticket names a session this kernel does not hold (never ran,
     /// or already redeemed — tickets are one-shot on-device).
@@ -139,7 +152,7 @@ impl core::fmt::Display for AttestError {
                 write!(f, "quote nonce already consumed (replayed transcript)")
             }
             AttestError::SealTamper(m) => {
-                write!(f, "sealed DEK failed authenticated decryption: {m}")
+                write!(f, "sealed key failed authenticated decryption: {m}")
             }
             AttestError::UnknownSession => {
                 write!(

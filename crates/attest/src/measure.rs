@@ -94,11 +94,12 @@ impl MeasurementChain {
 
 /// The public registry of audited measurements a verifier accepts.
 ///
-/// Both key releases consult one: the Data Owner's verifier publishes
-/// the Shield bitstream digests it audited, and the IP Vendor publishes
-/// the Security Kernel hashes it trusts (§3: "a public list of ShEF
-/// Security Kernel … hashes"). A measurement not published here fails
-/// verification with [`AttestError::UnknownMeasurement`].
+/// Every [`crate::RemoteVerifier`] holds one: the Data Owner's
+/// publishes the Shield bitstream measurements it audited, and the IP
+/// Vendor's publishes the measurement of each Security Kernel it
+/// trusts (§3: "a public list of ShEF Security Kernel … hashes") booted
+/// with each of its accelerators. A measurement not published here
+/// fails verification with [`AttestError::UnknownMeasurement`].
 #[derive(Debug, Clone, Default)]
 pub struct MeasurementRegistry {
     known: std::collections::BTreeSet<[u8; 32]>,

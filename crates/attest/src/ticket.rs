@@ -1,27 +1,43 @@
-//! Sealed DEK provisioning and the verifier-issued admission ticket.
+//! Sealed key release and the verifier-issued ticket.
 //!
 //! After a quote verifies, the verifier and the Security Kernel share
-//! an authenticated session key (X25519 between the verifier's
+//! an authenticated session secret (X25519 between the verifier's
 //! per-challenge ephemeral key and the kernel's certified
-//! key-exchange key, expanded over the session transcript). The
-//! verifier seals the tenant's Data Encryption Key under that key with
-//! AES-GCM — associated data binds the tenant name, the measurement
-//! and the session nonce, so a sealed blob cannot be re-used for a
-//! different tenant, bitstream or session — and issues an
-//! [`AttestationTicket`] signed with its long-term key.
+//! key-exchange key, bound to the session transcript). The verifier
+//! seals one 32-byte key under it with AES-GCM — associated data binds
+//! the ticket's subject, the measurement and the session nonce, so a
+//! sealed blob cannot be re-used for a different subject, bitstream or
+//! session — and issues a [`Ticket`] signed with its long-term key.
 //!
-//! Ticket life cycle:
+//! Two kinds of key ride the same quote and session machinery:
+//!
+//! * [`DataKey`] — a Data Owner's DEK for one tenant
+//!   ([`AttestationTicket`]), redeemed on-device into an
+//!   [`AttestedTenant`] by [`crate::SecurityKernel::redeem`];
+//! * [`BitstreamKey`] — an IP Vendor's Bitstream Encryption Key for one
+//!   accelerator product ([`BitstreamKeyTicket`]), redeemed on-device
+//!   into the plain key by
+//!   [`crate::SecurityKernel::redeem_bitstream_key`].
+//!
+//! Each kind expands the session secret, derives the IV, builds the
+//! associated data and signs the ticket under its own tags, so a sealed
+//! blob or ticket of one kind never opens or verifies as the other.
+//!
+//! Life cycle of a DEK ticket (a Bitstream-Key ticket redeems into the
+//! plain key instead):
 //!
 //! ```text
 //!  Issued ──(SecurityKernel::redeem: GCM open ok)──▶ Redeemed(AttestedTenant)
 //!    │                                                   │
-//!    │ tampered / spliced sealed DEK                     │ presented to
+//!    │ tampered / spliced sealed key                     │ presented to
 //!    ▼                                                   ▼
 //!  SealTamper (typed reject)              ShieldService::register_tenant
 //! ```
 //!
 //! Redemption is one-shot per kernel session; the service additionally
 //! rejects a ticket it has already admitted.
+
+use core::marker::PhantomData;
 
 use shef_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
 use shef_crypto::gcm::{AesGcm, GCM_IV_LEN, GCM_TAG_LEN};
@@ -32,38 +48,90 @@ use shef_crypto::wire::{Reader, Writer};
 use crate::measure::Measurement;
 use crate::AttestError;
 
-/// Message tag signed by the verifier over a ticket.
-const TICKET_TAG: &[u8] = b"shef.attest.ticket.v1";
-/// HKDF label for session-key expansion.
-const SESSION_LABEL: &[u8] = b"shef.attest.session.v1";
-/// Associated-data tag binding sealed DEKs to their session.
-const DEK_AD_TAG: &[u8] = b"shef.attest.dek.v1";
-/// Label for deriving the GCM IV from the session nonce.
-const DEK_IV_LABEL: &[u8] = b"shef.attest.dek-iv.v1";
-
-/// Derives the shared session key from the X25519 secret and the
-/// session transcript (nonce, both key-exchange publics, measurement).
-/// Run identically by the verifier and the kernel.
-pub(crate) fn session_key(
-    shared: &[u8; 32],
-    nonce: &[u8; 32],
-    verifier_kem: &[u8; 32],
-    kernel_kem: &[u8; 32],
-    measurement: &Measurement,
-) -> [u8; 32] {
-    let mut transcript = Sha256::new();
-    transcript.update(nonce);
-    transcript.update(verifier_kem);
-    transcript.update(kernel_kem);
-    transcript.update(&measurement.0);
-    hkdf::derive_key32(SESSION_LABEL, shared, &transcript.finalize())
+mod private {
+    pub trait Sealed {}
+    impl Sealed for super::DataKey {}
+    impl Sealed for super::BitstreamKey {}
 }
 
-/// The associated data a sealed DEK is bound to.
-fn dek_ad(tenant: &str, measurement: &Measurement, nonce: &[u8; 32]) -> Vec<u8> {
+/// What a [`Ticket`] releases: the domain-separation tags of one key
+/// kind. Implemented only by [`DataKey`] and [`BitstreamKey`].
+pub trait TicketKind: private::Sealed {
+    /// HKDF label expanding the session secret into this kind's key.
+    const SESSION_LABEL: &'static [u8];
+    /// Associated-data tag binding a sealed key to its session.
+    const AD_TAG: &'static [u8];
+    /// Label deriving the GCM IV from the session nonce.
+    const IV_LABEL: &'static [u8];
+    /// Message tag the verifier signs a ticket under.
+    const TICKET_TAG: &'static [u8];
+}
+
+/// A Data Owner's Data Encryption Key, released to one tenant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DataKey {}
+
+impl TicketKind for DataKey {
+    const SESSION_LABEL: &'static [u8] = b"shef.attest.session.v1";
+    const AD_TAG: &'static [u8] = b"shef.attest.dek.v1";
+    const IV_LABEL: &'static [u8] = b"shef.attest.dek-iv.v1";
+    const TICKET_TAG: &'static [u8] = b"shef.attest.ticket.v1";
+}
+
+/// An IP Vendor's Bitstream Encryption Key, released for one
+/// accelerator product.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BitstreamKey {}
+
+impl TicketKind for BitstreamKey {
+    const SESSION_LABEL: &'static [u8] = b"shef.attest.bitstream-key.session.v1";
+    const AD_TAG: &'static [u8] = b"shef.attest.bitstream-key.v1";
+    const IV_LABEL: &'static [u8] = b"shef.attest.bitstream-key-iv.v1";
+    const TICKET_TAG: &'static [u8] = b"shef.attest.bitstream-key.ticket.v1";
+}
+
+/// The secret one attestation session shares between verifier and
+/// kernel: the X25519 secret plus the digest of the session transcript
+/// (nonce, both key-exchange publics, measurement). Each ticket kind
+/// expands it under its own label.
+#[derive(Clone, Copy)]
+pub(crate) struct SessionSecret {
+    shared: [u8; 32],
+    transcript: [u8; 32],
+}
+
+impl SessionSecret {
+    /// Binds the X25519 secret to the session transcript. Run
+    /// identically by the verifier and the kernel.
+    pub(crate) fn new(
+        shared: [u8; 32],
+        nonce: &[u8; 32],
+        verifier_kem: &[u8; 32],
+        kernel_kem: &[u8; 32],
+        measurement: &Measurement,
+    ) -> Self {
+        let mut transcript = Sha256::new();
+        transcript.update(nonce);
+        transcript.update(verifier_kem);
+        transcript.update(kernel_kem);
+        transcript.update(&measurement.0);
+        SessionSecret {
+            shared,
+            transcript: transcript.finalize(),
+        }
+    }
+
+    /// The session key of ticket kind `K`.
+    pub(crate) fn key<K: TicketKind>(&self) -> [u8; 32] {
+        hkdf::derive_key32(K::SESSION_LABEL, &self.shared, &self.transcript)
+    }
+}
+
+/// The associated data a sealed key is bound to.
+fn seal_ad<K: TicketKind>(subject: &str, measurement: &Measurement, nonce: &[u8; 32]) -> Vec<u8> {
     let mut ad = Writer::new();
-    ad.put_bytes(DEK_AD_TAG);
-    ad.put_str(tenant);
+    ad.put_bytes(K::AD_TAG);
+    ad.put_str(subject);
     ad.put_fixed(&measurement.0);
     ad.put_fixed(nonce);
     ad.finish()
@@ -71,9 +139,9 @@ fn dek_ad(tenant: &str, measurement: &Measurement, nonce: &[u8; 32]) -> Vec<u8> 
 
 /// The GCM IV for a session (the session key is one-shot, but the IV is
 /// still derived, not constant, to keep the encoding honest).
-fn dek_iv(nonce: &[u8; 32]) -> [u8; GCM_IV_LEN] {
+fn seal_iv<K: TicketKind>(nonce: &[u8; 32]) -> [u8; GCM_IV_LEN] {
     let mut h = Sha256::new();
-    h.update(DEK_IV_LABEL);
+    h.update(K::IV_LABEL);
     h.update(nonce);
     let digest = h.finalize();
     let mut iv = [0u8; GCM_IV_LEN];
@@ -81,50 +149,54 @@ fn dek_iv(nonce: &[u8; 32]) -> [u8; GCM_IV_LEN] {
     iv
 }
 
-/// A tenant DEK sealed (AES-GCM) to one attestation session.
+/// A 32-byte key sealed (AES-GCM) to one attestation session.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SealedDek {
-    /// GCM ciphertext of the 32-byte DEK.
+pub struct SealedKey {
+    /// GCM ciphertext of the 32-byte key.
     pub ciphertext: Vec<u8>,
     /// GCM authentication tag.
     pub tag: [u8; GCM_TAG_LEN],
 }
 
-impl SealedDek {
-    /// Seals `dek` under the session key (verifier side).
-    pub(crate) fn seal(
-        key: &[u8; 32],
-        tenant: &str,
+impl SealedKey {
+    /// Seals `key` under the session (verifier side).
+    pub(crate) fn seal<K: TicketKind>(
+        session: &SessionSecret,
+        subject: &str,
         measurement: &Measurement,
         nonce: &[u8; 32],
-        dek: &[u8; 32],
+        key: &[u8; 32],
     ) -> Self {
-        let gcm = AesGcm::new(key);
-        let (ciphertext, tag) = gcm.seal(&dek_iv(nonce), &dek_ad(tenant, measurement, nonce), dek);
-        SealedDek { ciphertext, tag }
+        let gcm = AesGcm::new(&session.key::<K>());
+        let (ciphertext, tag) = gcm.seal(
+            &seal_iv::<K>(nonce),
+            &seal_ad::<K>(subject, measurement, nonce),
+            key,
+        );
+        SealedKey { ciphertext, tag }
     }
 
-    /// Opens the seal (kernel side). Any mismatch in key, tenant name,
-    /// measurement or nonce fails the tag check.
-    pub(crate) fn open(
+    /// Opens the seal (kernel side). Any mismatch in kind, session,
+    /// subject, measurement or nonce fails the tag check.
+    pub(crate) fn open<K: TicketKind>(
         &self,
-        key: &[u8; 32],
-        tenant: &str,
+        session: &SessionSecret,
+        subject: &str,
         measurement: &Measurement,
         nonce: &[u8; 32],
     ) -> Result<[u8; 32], AttestError> {
-        let gcm = AesGcm::new(key);
+        let gcm = AesGcm::new(&session.key::<K>());
         let plain = gcm
             .open(
-                &dek_iv(nonce),
-                &dek_ad(tenant, measurement, nonce),
+                &seal_iv::<K>(nonce),
+                &seal_ad::<K>(subject, measurement, nonce),
                 &self.ciphertext,
                 &self.tag,
             )
             .map_err(|e| AttestError::SealTamper(e.to_string()))?;
         plain
             .try_into()
-            .map_err(|_| AttestError::SealTamper("sealed DEK is not 32 bytes".into()))
+            .map_err(|_| AttestError::SealTamper("sealed key is not 32 bytes".into()))
     }
 
     /// Canonical wire encoding.
@@ -136,7 +208,7 @@ impl SealedDek {
         w.finish()
     }
 
-    /// Parses the [`SealedDek::to_bytes`] encoding.
+    /// Parses the [`SealedKey::to_bytes`] encoding.
     ///
     /// # Errors
     ///
@@ -146,39 +218,48 @@ impl SealedDek {
         let ciphertext = r.get_bytes()?.to_vec();
         let tag = r.get_fixed()?;
         r.finish()?;
-        Ok(SealedDek { ciphertext, tag })
+        Ok(SealedKey { ciphertext, tag })
     }
 }
 
-/// The verifier-issued admission credential: tenant binding,
-/// measurement, session id, the sealed DEK, and the verifier's
-/// signature over all of it. `ShieldService::register_tenant` accepts
-/// only tenants carrying a valid ticket (wrapped in an
-/// [`AttestedTenant`] by on-device redemption).
+/// The verifier-issued release credential of kind `K`: the subject it
+/// is bound to (tenant name or accelerator product), measurement,
+/// session id, the sealed key, and the verifier's signature over all
+/// of it. Both kinds share one wire layout; only the tags differ.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttestationTicket {
-    tenant: String,
+pub struct Ticket<K: TicketKind> {
+    subject: String,
     measurement: Measurement,
     session: [u8; 32],
-    sealed_dek: SealedDek,
+    sealed_key: SealedKey,
     verifier_public: VerifyingKey,
     signature: Signature,
+    kind: PhantomData<K>,
 }
 
-impl AttestationTicket {
+/// The Data Owner's admission ticket. `ShieldService::register_tenant`
+/// accepts only tenants carrying a valid one (wrapped in an
+/// [`AttestedTenant`] by on-device redemption).
+pub type AttestationTicket = Ticket<DataKey>;
+
+/// The IP Vendor's Bitstream-Key release, redeemed on-device by
+/// [`crate::SecurityKernel::redeem_bitstream_key`].
+pub type BitstreamKeyTicket = Ticket<BitstreamKey>;
+
+impl<K: TicketKind> Ticket<K> {
     fn message(
-        tenant: &str,
+        subject: &str,
         measurement: &Measurement,
         session: &[u8; 32],
-        sealed_dek: &SealedDek,
+        sealed_key: &SealedKey,
         verifier_public: &VerifyingKey,
     ) -> Vec<u8> {
         let mut w = Writer::new();
-        w.put_bytes(TICKET_TAG);
-        w.put_str(tenant);
+        w.put_bytes(K::TICKET_TAG);
+        w.put_str(subject);
         w.put_fixed(&measurement.0);
         w.put_fixed(session);
-        w.put_fixed(&Sha256::digest(&sealed_dek.to_bytes()));
+        w.put_fixed(&Sha256::digest(&sealed_key.to_bytes()));
         w.put_fixed(&verifier_public.0);
         w.finish()
     }
@@ -186,33 +267,35 @@ impl AttestationTicket {
     /// Issues a ticket (verifier side).
     pub(crate) fn issue(
         signing: &SigningKey,
-        tenant: &str,
+        subject: &str,
         measurement: Measurement,
         session: [u8; 32],
-        sealed_dek: SealedDek,
+        sealed_key: SealedKey,
     ) -> Self {
         let verifier_public = signing.verifying_key();
         let message = Self::message(
-            tenant,
+            subject,
             &measurement,
             &session,
-            &sealed_dek,
+            &sealed_key,
             &verifier_public,
         );
-        AttestationTicket {
-            tenant: tenant.to_owned(),
+        Ticket {
+            subject: subject.to_owned(),
             measurement,
             session,
-            sealed_dek,
+            sealed_key,
             verifier_public,
             signature: signing.sign(&message),
+            kind: PhantomData,
         }
     }
 
-    /// The tenant name the ticket is bound to.
+    /// The subject the ticket is bound to: the tenant name of a DEK
+    /// ticket, the accelerator product of a Bitstream-Key ticket.
     #[must_use]
-    pub fn tenant(&self) -> &str {
-        &self.tenant
+    pub fn subject(&self) -> &str {
+        &self.subject
     }
 
     /// The measurement the session attested.
@@ -227,10 +310,10 @@ impl AttestationTicket {
         self.session
     }
 
-    /// The sealed DEK blob.
+    /// The sealed key blob.
     #[must_use]
-    pub fn sealed_dek(&self) -> &SealedDek {
-        &self.sealed_dek
+    pub fn sealed_key(&self) -> &SealedKey {
+        &self.sealed_key
     }
 
     /// The issuing verifier's public key.
@@ -239,31 +322,31 @@ impl AttestationTicket {
         self.verifier_public
     }
 
-    /// Checks the ticket for service admission: issued by `trusted`,
-    /// bound to `tenant`, and signature-valid.
+    /// Checks the ticket: issued by `trusted`, bound to `subject`, and
+    /// signature-valid.
     ///
     /// # Errors
     ///
     /// * [`AttestError::BadSignature`] — issuer is not the trusted
     ///   verifier, or the signature does not verify.
-    /// * [`AttestError::WrongTenant`] — bound to a different name.
-    pub fn verify(&self, trusted: &VerifyingKey, tenant: &str) -> Result<(), AttestError> {
+    /// * [`AttestError::WrongTenant`] — bound to a different subject.
+    pub fn verify(&self, trusted: &VerifyingKey, subject: &str) -> Result<(), AttestError> {
         if self.verifier_public != *trusted {
             return Err(AttestError::BadSignature(
                 "ticket issued by an untrusted verifier".into(),
             ));
         }
-        if self.tenant != tenant {
+        if self.subject != subject {
             return Err(AttestError::WrongTenant {
-                expected: tenant.to_owned(),
-                got: self.tenant.clone(),
+                expected: subject.to_owned(),
+                got: self.subject.clone(),
             });
         }
         let message = Self::message(
-            &self.tenant,
+            &self.subject,
             &self.measurement,
             &self.session,
-            &self.sealed_dek,
+            &self.sealed_key,
             &self.verifier_public,
         );
         trusted
@@ -275,40 +358,49 @@ impl AttestationTicket {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.put_str(&self.tenant);
+        w.put_str(&self.subject);
         w.put_fixed(&self.measurement.0);
         w.put_fixed(&self.session);
-        w.put_bytes(&self.sealed_dek.to_bytes());
+        w.put_bytes(&self.sealed_key.to_bytes());
         w.put_fixed(&self.verifier_public.0);
         w.put_fixed(&self.signature.0);
         w.finish()
     }
 
-    /// Parses the [`AttestationTicket::to_bytes`] encoding. Parsing
-    /// does not authenticate: call [`AttestationTicket::verify`] (or
-    /// redeem on-device) before trusting any field.
+    /// Parses the [`Ticket::to_bytes`] encoding. Parsing does not
+    /// authenticate: call [`Ticket::verify`] (or redeem on-device)
+    /// before trusting any field.
     ///
     /// # Errors
     ///
-    /// Returns [`AttestError::Malformed`] on truncation or non-UTF-8
-    /// tenant names.
+    /// Returns [`AttestError::Malformed`] on truncation or a non-UTF-8
+    /// subject.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, AttestError> {
         let mut r = Reader::new(bytes);
-        let tenant = r.get_str()?.to_owned();
+        let subject = r.get_str()?.to_owned();
         let measurement = Measurement(r.get_fixed()?);
         let session = r.get_fixed()?;
-        let sealed_dek = SealedDek::from_bytes(r.get_bytes()?)?;
+        let sealed_key = SealedKey::from_bytes(r.get_bytes()?)?;
         let verifier_public = VerifyingKey(r.get_fixed()?);
         let signature = Signature(r.get_fixed()?);
         r.finish()?;
-        Ok(AttestationTicket {
-            tenant,
+        Ok(Ticket {
+            subject,
             measurement,
             session,
-            sealed_dek,
+            sealed_key,
             verifier_public,
             signature,
+            kind: PhantomData,
         })
+    }
+}
+
+impl AttestationTicket {
+    /// The tenant name the ticket is bound to.
+    #[must_use]
+    pub fn tenant(&self) -> &str {
+        &self.subject
     }
 }
 
@@ -368,27 +460,46 @@ mod tests {
         chain.current()
     }
 
+    fn session(shared: u8) -> SessionSecret {
+        SessionSecret::new(
+            [shared; 32],
+            &[3u8; 32],
+            &[4u8; 32],
+            &[5u8; 32],
+            &measurement(),
+        )
+    }
+
     #[test]
     fn sealed_dek_round_trip_binds_context() {
-        let key = [9u8; 32];
+        let key = session(9);
         let nonce = [3u8; 32];
         let m = measurement();
-        let sealed = SealedDek::seal(&key, "alice", &m, &nonce, &[0x42u8; 32]);
+        let sealed = SealedKey::seal::<DataKey>(&key, "alice", &m, &nonce, &[0x42u8; 32]);
         assert_eq!(
-            sealed.open(&key, "alice", &m, &nonce).unwrap(),
+            sealed.open::<DataKey>(&key, "alice", &m, &nonce).unwrap(),
             [0x42u8; 32]
         );
         // Any context change breaks the AD binding.
-        assert!(sealed.open(&key, "bob", &m, &nonce).is_err());
-        assert!(sealed.open(&key, "alice", &m, &[4u8; 32]).is_err());
-        assert!(sealed.open(&[8u8; 32], "alice", &m, &nonce).is_err());
+        assert!(sealed.open::<DataKey>(&key, "bob", &m, &nonce).is_err());
+        assert!(sealed
+            .open::<DataKey>(&key, "alice", &m, &[4u8; 32])
+            .is_err());
+        assert!(sealed
+            .open::<DataKey>(&session(8), "alice", &m, &nonce)
+            .is_err());
+        // So does the kind: a sealed DEK never opens as a Bitstream Key.
+        assert!(sealed
+            .open::<BitstreamKey>(&key, "alice", &m, &nonce)
+            .is_err());
     }
 
     #[test]
     fn ticket_verify_and_wire_round_trip() {
         let signing = SigningKey::from_seed(&[7u8; 32]);
         let m = measurement();
-        let sealed = SealedDek::seal(&[9u8; 32], "alice", &m, &[3u8; 32], &[0x42u8; 32]);
+        let sealed =
+            SealedKey::seal::<DataKey>(&session(9), "alice", &m, &[3u8; 32], &[0x42u8; 32]);
         let ticket = AttestationTicket::issue(&signing, "alice", m, [3u8; 32], sealed);
         ticket.verify(&signing.verifying_key(), "alice").unwrap();
         assert!(matches!(
@@ -403,16 +514,24 @@ mod tests {
         let parsed = AttestationTicket::from_bytes(&ticket.to_bytes()).unwrap();
         assert_eq!(parsed, ticket);
         parsed.verify(&signing.verifying_key(), "alice").unwrap();
+        // The same bytes parse as the other kind, but its signature tag
+        // differs.
+        let other = BitstreamKeyTicket::from_bytes(&ticket.to_bytes()).unwrap();
+        assert!(matches!(
+            other.verify(&signing.verifying_key(), "alice"),
+            Err(AttestError::BadSignature(_))
+        ));
     }
 
     #[test]
     fn tampered_ticket_bytes_fail_verification() {
         let signing = SigningKey::from_seed(&[7u8; 32]);
         let m = measurement();
-        let sealed = SealedDek::seal(&[9u8; 32], "alice", &m, &[3u8; 32], &[0x42u8; 32]);
+        let sealed =
+            SealedKey::seal::<DataKey>(&session(9), "alice", &m, &[3u8; 32], &[0x42u8; 32]);
         let ticket = AttestationTicket::issue(&signing, "alice", m, [3u8; 32], sealed);
         let mut bytes = ticket.to_bytes();
-        // Flip a byte inside the sealed-DEK ciphertext region.
+        // Flip a byte inside the sealed-key ciphertext region.
         let idx = bytes.len() - 100;
         bytes[idx] ^= 1;
         let parsed = AttestationTicket::from_bytes(&bytes).unwrap();

@@ -1,11 +1,15 @@
-//! The Data Owner's remote verifier: challenges, quote verification,
-//! and sealed DEK provisioning.
+//! The remote verifier: challenges, quote verification, and sealed key
+//! release.
 //!
-//! The verifier is the off-device end of the protocol. Per attestation
-//! round it runs this state machine, keyed by the challenge nonce:
+//! The verifier is the off-device end of the protocol. The Data Owner
+//! runs one to release tenant DEKs ([`RemoteVerifier::verify_and_provision`]),
+//! the IP Vendor runs one to release Bitstream Keys
+//! ([`RemoteVerifier::verify_and_release`]); both kinds share every
+//! check below. Per attestation round it runs this state machine, keyed
+//! by the challenge nonce:
 //!
 //! ```text
-//!              challenge()                verify_and_provision(quote)
+//!              challenge()           verify_and_{provision,release}(quote)
 //!  ┌───────┐ ──────────────▶ ┌─────────────┐ ────────────────────────▶ ┌──────────┐
 //!  │ Fresh │                 │ Outstanding │   all five checks pass    │ Consumed │
 //!  └───────┘                 └─────────────┘                           └──────────┘
@@ -53,7 +57,10 @@ use shef_telemetry::{Counter, Telemetry};
 
 use crate::identity::{AkCert, DeviceCert};
 use crate::measure::{Measurement, MeasurementRegistry};
-use crate::ticket::{session_key, AttestationTicket, SealedDek};
+use crate::ticket::{
+    AttestationTicket, BitstreamKey, BitstreamKeyTicket, DataKey, SealedKey, SessionSecret, Ticket,
+    TicketKind,
+};
 use crate::AttestError;
 
 /// Message tag signed by the Attestation Key over a quote.
@@ -221,8 +228,8 @@ struct VerifierTelemetry {
     rejected: Counter,
 }
 
-/// The Data Owner's remote verifier. See the module docs for the
-/// session state machine and check order.
+/// A remote verifier (the Data Owner's or the IP Vendor's). See the
+/// module docs for the session state machine and check order.
 pub struct RemoteVerifier {
     signing: SigningKey,
     manufacturer_root: VerifyingKey,
@@ -362,33 +369,59 @@ impl RemoteVerifier {
         tenant: &str,
         dek: [u8; 32],
     ) -> Result<AttestationTicket, AttestError> {
+        self.verify_and_seal::<DataKey>(quote, tenant, dek)
+    }
+
+    /// [`RemoteVerifier::verify_and_provision`] for the IP Vendor's
+    /// key: the same checks, then `bitstream_key` is sealed to the
+    /// session under the Bitstream-Key tags and the ticket is bound to
+    /// the accelerator `product`.
+    ///
+    /// # Errors
+    ///
+    /// As [`RemoteVerifier::verify_and_provision`].
+    pub fn verify_and_release(
+        &mut self,
+        quote: &Quote,
+        product: &str,
+        bitstream_key: [u8; 32],
+    ) -> Result<BitstreamKeyTicket, AttestError> {
+        self.verify_and_seal::<BitstreamKey>(quote, product, bitstream_key)
+    }
+
+    fn verify_and_seal<K: TicketKind>(
+        &mut self,
+        quote: &Quote,
+        subject: &str,
+        key: [u8; 32],
+    ) -> Result<Ticket<K>, AttestError> {
         if let Err(e) = self.check_quote(quote) {
             if let Some(t) = &self.tele {
                 t.rejected.inc();
             }
             return Err(e);
         }
-        // All checks passed: consume the nonce and provision.
+        // All checks passed: consume the nonce and seal.
         let ephemeral = self
             .outstanding
             .remove(&quote.nonce)
             .expect("check_quote verified the nonce is outstanding");
         self.consumed.insert(quote.nonce);
-        let shared = ephemeral.diffie_hellman(&EciesPublicKey(quote.kem_public));
-        let key = session_key(
-            &shared,
+        let session = SessionSecret::new(
+            ephemeral.diffie_hellman(&EciesPublicKey(quote.kem_public)),
             &quote.nonce,
             &quote.verifier_kem,
             &quote.kem_public,
             &quote.measurement,
         );
-        let sealed = SealedDek::seal(&key, tenant, &quote.measurement, &quote.nonce, &dek);
+        let sealed =
+            SealedKey::seal::<K>(&session, subject, &quote.measurement, &quote.nonce, &key);
         if let Some(t) = &self.tele {
             t.verified.inc();
         }
-        Ok(AttestationTicket::issue(
+        Ok(Ticket::issue(
             &self.signing,
-            tenant,
+            subject,
             quote.measurement,
             quote.nonce,
             sealed,
@@ -451,8 +484,7 @@ mod tests {
         let mut env =
             AttestationEnvironment::with_bitstream(b"verifier-tests", b"unaudited image").unwrap();
         // Re-measure something the verifier never published.
-        env.kernel_mut()
-            .load_shield_bitstream("rogue", b"rogue image");
+        env.kernel_mut().measure("rogue", b"rogue image");
         let challenge = env.verifier_mut().challenge();
         let quote = env.kernel_mut().quote(&challenge).unwrap();
         assert!(matches!(

@@ -32,10 +32,10 @@ fn main() {
         .expect("packaging succeeds");
     let (instance, _dek) = bench
         .data_owner
-        .deploy(board, &mut bench.vendor, &bench.manufacturer, &product)
+        .deploy(board, &mut bench.vendor, &product)
         .expect("deploy succeeds");
 
-    let t = &instance.boot_report.timing;
+    let t = &instance.kernel.report().timing;
     kv_row(
         "BootROM + firmware decrypt",
         &format!("{:>8.0} ms", t.bootrom_ms),

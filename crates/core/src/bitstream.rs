@@ -138,8 +138,10 @@ impl EncryptedBitstream {
         Bitstream::from_bytes(&plain)
     }
 
-    /// SHA-256 of the encrypted container — the
-    /// `H(Enc_BitstrKey(Accelerator))` bound into attestation reports.
+    /// SHA-256 of the encrypted container — the paper's
+    /// `H(Enc_BitstrKey(Accelerator))`. Attestation binds the container
+    /// through the Security Kernel's measurement chain instead
+    /// ([`crate::boot::deployment_measurement`]).
     #[must_use]
     pub fn hash(&self) -> [u8; 32] {
         Sha256::digest(&self.0)

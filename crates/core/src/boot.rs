@@ -1,109 +1,54 @@
 //! The ShEF secure boot chain (§3 steps 6–7, §4 "Secure Boot").
 //!
 //! ```text
-//! BootROM ──decrypts──▶ SPB firmware ──measures──▶ Security Kernel
-//!    │                        │                          │
-//!    └─ AES device key        └─ private device key      └─ Attestation Key
-//!       (e-fuses)                (inside encrypted fw)      bound to (device, H(SecKrnl))
+//! BootROM ──decrypts──▶ SPB firmware ──boots──▶ Security Kernel
+//!    │                        │                        │
+//!    └─ AES device key        └─ device certificate    └─ Attestation Key
+//!       (e-fuses) → root         (Manufacturer-signed)    HKDF(root ‖ measurement)
 //! ```
 //!
-//! The SPB firmware "reads the Security Kernel out of the boot medium and
-//! hashes it … signs the hash with the private device key \[and\] uses the
-//! resulting value to seed a key generator to produce a unique asymmetric
-//! Attestation Key pair", then certifies it with
-//! `σ_SecKrnl = Sign_DeviceKey(H(SecKrnl), AttestKey_pub)`.
-//!
-//! Because our signatures are deterministic Ed25519, the derived
-//! Attestation Key is a pure function of (device key, kernel binary):
-//! re-booting the same kernel on the same device reproduces the same
-//! identity, exactly as the paper intends.
+//! BootROM decrypts the Manufacturer's SPB firmware with the e-fuse
+//! device key and derives the
+//! [`AttestationRoot`](shef_attest::AttestationRoot) from that key
+//! before locking the key store
+//! ([`shef_fpga::spb::Spb::boot_rom_measured`]).
+//! The firmware payload is the device's certificate from the
+//! Manufacturer CA. The Security Kernel ([`shef_attest::SecurityKernel`])
+//! starts from the root and that certificate, then measures the
+//! Security Kernel binary and the staged encrypted accelerator
+//! bitstream into its chain; its Attestation Key is derived from root ‖
+//! measurement. Because the derivation is deterministic, re-booting the
+//! same kernel and bitstream on the same device reproduces the same
+//! identity, exactly as the paper intends, while an unaudited kernel or
+//! a swapped bitstream yields a measurement no vendor has published.
 
-use shef_crypto::drbg::HmacDrbg;
-use shef_crypto::ecies::EciesKeyPair;
-use shef_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
-use shef_crypto::sha2::{Sha256, Sha512};
-use shef_crypto::wire::{Reader, Writer};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use shef_attest::{DeviceCert, Measurement, MeasurementChain, SecurityKernel};
+use shef_crypto::ed25519::VerifyingKey;
+use shef_crypto::sha2::Sha256;
 use shef_fpga::board::{image_names, Board};
 use shef_fpga::processor::KernelImage;
 
+use crate::bitstream::EncryptedBitstream;
 use crate::ShefError;
 
-/// Private-memory slot names used by the Security Kernel.
-pub mod slots {
-    /// Seed of the attestation signing key.
-    pub const ATTEST_SIGN_SEED: &str = "attest-sign-seed";
-    /// Seed of the attestation Diffie–Hellman key.
-    pub const ATTEST_DH_SEED: &str = "attest-dh-seed";
-    /// σ_SecKrnl certificate bytes.
-    pub const SIGMA_SECKRNL: &str = "sigma-seckrnl";
-    /// Measured kernel hash.
-    pub const KERNEL_HASH: &str = "kernel-hash";
-    /// Established attestation session key (after a challenge).
-    pub const SESSION_KEY: &str = "session-key";
-    /// Nonce of the in-flight attestation session.
-    pub const SESSION_NONCE: &str = "session-nonce";
-}
+/// Private-memory slot holding the boot this kernel instance belongs
+/// to; a power cycle, halt or re-boot clears or replaces it.
+const BOOT_EPOCH_SLOT: &str = "boot-epoch";
 
-/// The payload the Manufacturer seals inside the SPB firmware: the
-/// asymmetric private device key (§3 step 2).
-#[derive(Clone)]
-pub struct FirmwarePayload {
-    /// Seed of the device signing key.
-    pub device_key_seed: [u8; 32],
-}
+/// Source of boot epochs: every [`secure_boot`] gets a fresh one.
+static BOOT_EPOCHS: AtomicU64 = AtomicU64::new(0);
 
-impl core::fmt::Debug for FirmwarePayload {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("FirmwarePayload").finish_non_exhaustive()
-    }
-}
-
-impl FirmwarePayload {
-    /// Serializes for sealing.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_str("shef.firmware.v1");
-        w.put_fixed(&self.device_key_seed);
-        w.finish()
-    }
-
-    /// Parses a decrypted firmware payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShefError::Malformed`] on bad layout.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ShefError> {
-        let mut r = Reader::new(bytes);
-        let tag = r.get_str()?;
-        if tag != "shef.firmware.v1" {
-            return Err(ShefError::Malformed("bad firmware payload tag".into()));
-        }
-        let device_key_seed = r.get_fixed::<32>()?;
-        r.finish()?;
-        Ok(FirmwarePayload { device_key_seed })
-    }
-
-    /// The device signing key held by this firmware.
-    #[must_use]
-    pub fn device_signing_key(&self) -> SigningKey {
-        SigningKey::from_seed(&self.device_key_seed)
-    }
-}
-
-/// Message over which σ_SecKrnl is computed.
+/// The measurement a Security Kernel reports after booting `kernel`
+/// with `accelerator` staged: the chain over both images, in boot
+/// order. IP Vendors publish it for each audited kernel and product.
 #[must_use]
-pub fn seckrnl_cert_message(
-    kernel_hash: &[u8; 32],
-    attest_sign_public: &VerifyingKey,
-    attest_dh_public: &[u8; 32],
-) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_str("shef.sigma-seckrnl.v1");
-    w.put_fixed(kernel_hash);
-    w.put_fixed(&attest_sign_public.0);
-    w.put_fixed(attest_dh_public);
-    w.finish()
+pub fn deployment_measurement(kernel: &[u8], accelerator: &[u8]) -> Measurement {
+    let mut chain = MeasurementChain::new();
+    chain.extend(image_names::SECURITY_KERNEL, kernel);
+    chain.extend(image_names::ACCELERATOR_BITSTREAM, accelerator);
+    chain.current()
 }
 
 /// Public outcome of a successful secure boot.
@@ -111,12 +56,10 @@ pub fn seckrnl_cert_message(
 pub struct BootReport {
     /// SHA-256 of the Security Kernel binary.
     pub kernel_hash: [u8; 32],
-    /// The attestation signing public key.
-    pub attest_sign_public: VerifyingKey,
-    /// The attestation Diffie–Hellman public key.
-    pub attest_dh_public: [u8; 32],
-    /// Device certificate over the kernel hash and attestation keys.
-    pub sigma_seckrnl: Signature,
+    /// The kernel's measurement (see [`deployment_measurement`]).
+    pub measurement: Measurement,
+    /// The quote-signing half of the Attestation Key.
+    pub ak_public: VerifyingKey,
     /// Modelled boot latency.
     pub timing: BootTiming,
 }
@@ -162,229 +105,211 @@ impl BootTiming {
     }
 }
 
-/// Derives the attestation keys from a device signature over the kernel
-/// hash, per §4: the signature seeds a key generator.
-#[must_use]
-pub fn derive_attestation_keys(
-    device_key: &SigningKey,
-    kernel_hash: &[u8; 32],
-) -> (SigningKey, EciesKeyPair) {
-    let mut msg = b"shef.attest-seed.v1".to_vec();
-    msg.extend_from_slice(kernel_hash);
-    let sig = device_key.sign(&msg);
-    let digest = Sha512::digest(&sig.0);
-    let sign_seed: [u8; 32] = digest[..32].try_into().expect("lower half");
-    let mut dh_drbg = HmacDrbg::from_seed(&digest);
-    dh_drbg.reseed(b"shef.attest.dh");
-    let sign_key = SigningKey::from_seed(&sign_seed);
-    let dh_key = EciesKeyPair::generate(&mut dh_drbg);
-    (sign_key, dh_key)
+/// The Security Kernel of one boot of one board: the `shef-attest`
+/// kernel model plus the encrypted accelerator it measured. It serves
+/// only while the board's processor still runs that boot — after a
+/// power cycle, a tamper halt or another [`secure_boot`] every call
+/// fails with [`ShefError::BootFailed`]. Its attestation duties live in
+/// [`crate::attest`].
+pub struct BootedKernel {
+    pub(crate) kernel: SecurityKernel,
+    pub(crate) accelerator: EncryptedBitstream,
+    report: BootReport,
+    epoch: u64,
 }
 
-/// Executes the full secure boot chain on a board.
+impl core::fmt::Debug for BootedKernel {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("BootedKernel")
+            .field("kernel", &self.kernel)
+            .field("epoch", &self.epoch)
+            .finish_non_exhaustive()
+    }
+}
+
+impl BootedKernel {
+    /// The public boot outcome.
+    #[must_use]
+    pub fn report(&self) -> &BootReport {
+        &self.report
+    }
+
+    /// Fails unless `board`'s processor is still running this boot.
+    pub(crate) fn ensure_running(&self, board: &Board) -> Result<(), ShefError> {
+        let processor = &board.device.sk_processor;
+        let epoch = processor.private_memory_ref().load(BOOT_EPOCH_SLOT);
+        if processor.is_running() && epoch == Some(&self.epoch.to_le_bytes()[..]) {
+            Ok(())
+        } else {
+            Err(ShefError::BootFailed(
+                "the Security Kernel of this boot is no longer running".into(),
+            ))
+        }
+    }
+}
+
+/// Executes the full secure boot chain on a board whose encrypted
+/// accelerator bitstream is already staged.
 ///
 /// On success the Security Kernel is running on the dedicated processor
-/// with the attestation keys in its private memory, and the tamper
-/// monitors are armed.
+/// and the tamper monitors are armed; the returned [`BootedKernel`]
+/// quotes and receives the Bitstream Key ([`crate::attest`]).
 ///
 /// # Errors
 ///
 /// * [`ShefError::Fpga`] if BootROM rejects the firmware or images are
 ///   missing.
-/// * [`ShefError::Malformed`] if the firmware payload is corrupt.
-pub fn secure_boot(board: &mut Board) -> Result<BootReport, ShefError> {
-    // 1. BootROM: decrypt + authenticate the SPB firmware.
+/// * [`ShefError::AttestationFailed`] if the firmware payload is not a
+///   device certificate for the identity this device derives.
+pub fn secure_boot(board: &mut Board) -> Result<BootedKernel, ShefError> {
+    // 1. BootROM: decrypt + authenticate the SPB firmware, derive the
+    //    attestation root, lock the key store.
     let enc_fw = board.boot_medium.load(image_names::SPB_FIRMWARE)?.to_vec();
-    let payload_bytes = board
+    let (firmware, root) = board
         .device
         .spb
-        .boot_rom(&mut board.device.keystore, &enc_fw)?;
-    let firmware = FirmwarePayload::from_bytes(&payload_bytes)?;
-    let device_key = firmware.device_signing_key();
+        .boot_rom_measured(&mut board.device.keystore, &enc_fw)?;
+    let device_cert = DeviceCert::from_bytes(&firmware)?;
 
-    // 2. Firmware measures the Security Kernel.
-    let kernel = board
+    // 2. Read the images to measure.
+    let binary = board
         .boot_medium
         .load(image_names::SECURITY_KERNEL)?
         .to_vec();
-    let kernel_hash = Sha256::digest(&kernel);
+    let accelerator = EncryptedBitstream(
+        board
+            .boot_medium
+            .load(image_names::ACCELERATOR_BITSTREAM)?
+            .to_vec(),
+    );
 
-    // 3. Attestation keys bound to (device, kernel).
-    let (attest_sign, attest_dh) = derive_attestation_keys(&device_key, &kernel_hash);
-    let attest_sign_public = attest_sign.verifying_key();
-    let attest_dh_public = attest_dh.public_key().0;
-    let sigma_seckrnl = device_key.sign(&seckrnl_cert_message(
-        &kernel_hash,
-        &attest_sign_public,
-        &attest_dh_public,
-    ));
+    // 3. The kernel starts from the root and its certificate and
+    //    measures both images; its Attestation Key follows.
+    let mut kernel = SecurityKernel::new(root, board.device.die_serial(), device_cert)?;
+    kernel.measure(image_names::SECURITY_KERNEL, &binary);
+    kernel.measure(image_names::ACCELERATOR_BITSTREAM, &accelerator.0);
+    let kernel_hash = Sha256::digest(&binary);
+    let report = BootReport {
+        kernel_hash,
+        measurement: kernel.measurement()?,
+        ak_public: kernel.ak_cert()?.ak_public,
+        timing: BootTiming::ultra96(),
+    };
 
-    // 4. Load the kernel onto the dedicated processor; hand it the keys
-    //    through on-chip shared memory. The kernel never sees the device
-    //    key itself.
-    board.device.sk_processor.load_kernel(KernelImage {
-        binary: kernel,
+    // 4. Load the kernel onto the dedicated processor and mark this
+    //    boot in its private memory.
+    let epoch = BOOT_EPOCHS.fetch_add(1, Ordering::Relaxed);
+    let processor = &mut board.device.sk_processor;
+    processor.load_kernel(KernelImage {
+        binary,
         hash: kernel_hash,
     });
-    let mem = board.device.sk_processor.private_memory();
-    // Reconstruct seeds the same way derive_attestation_keys did: store
-    // the generator inputs rather than raw secrets where possible.
-    mem.store(
-        slots::ATTEST_SIGN_SEED,
-        attest_sign_seed_bytes(&device_key, &kernel_hash).to_vec(),
-    );
-    mem.store(
-        slots::ATTEST_DH_SEED,
-        attest_dh_seed_bytes(&device_key, &kernel_hash).to_vec(),
-    );
-    mem.store(slots::SIGMA_SECKRNL, sigma_seckrnl.0.to_vec());
-    mem.store(slots::KERNEL_HASH, kernel_hash.to_vec());
+    processor
+        .private_memory()
+        .store(BOOT_EPOCH_SLOT, epoch.to_le_bytes().to_vec());
 
     // 5. The kernel starts its continuous monitors.
     board.device.ports.arm_monitors();
 
-    Ok(BootReport {
-        kernel_hash,
-        attest_sign_public,
-        attest_dh_public,
-        sigma_seckrnl,
-        timing: BootTiming::ultra96(),
+    Ok(BootedKernel {
+        kernel,
+        accelerator,
+        report,
+        epoch,
     })
-}
-
-/// Seed bytes for the attestation signing key (shared derivation between
-/// the firmware and the kernel's private-memory copy).
-fn attest_sign_seed_bytes(device_key: &SigningKey, kernel_hash: &[u8; 32]) -> [u8; 32] {
-    let mut msg = b"shef.attest-seed.v1".to_vec();
-    msg.extend_from_slice(kernel_hash);
-    let sig = device_key.sign(&msg);
-    let digest = Sha512::digest(&sig.0);
-    digest[..32].try_into().expect("lower half")
-}
-
-/// Seed bytes for the attestation DH key.
-fn attest_dh_seed_bytes(device_key: &SigningKey, kernel_hash: &[u8; 32]) -> [u8; 64] {
-    let mut msg = b"shef.attest-seed.v1".to_vec();
-    msg.extend_from_slice(kernel_hash);
-    let sig = device_key.sign(&msg);
-    Sha512::digest(&sig.0)
-}
-
-/// Reconstructs the Security Kernel's attestation keys from private
-/// memory (what kernel code does at runtime).
-///
-/// # Errors
-///
-/// Returns [`ShefError::BootFailed`] if the kernel was not booted.
-pub fn kernel_attestation_keys(board: &mut Board) -> Result<(SigningKey, EciesKeyPair), ShefError> {
-    let mem = board.device.sk_processor.private_memory();
-    let sign_seed = mem
-        .load(slots::ATTEST_SIGN_SEED)
-        .ok_or_else(|| ShefError::BootFailed("attestation keys not provisioned".into()))?;
-    let sign_seed: [u8; 32] = sign_seed
-        .try_into()
-        .map_err(|_| ShefError::BootFailed("corrupt attestation seed".into()))?;
-    let dh_seed = mem
-        .load(slots::ATTEST_DH_SEED)
-        .ok_or_else(|| ShefError::BootFailed("attestation DH seed missing".into()))?
-        .to_vec();
-    let sign_key = SigningKey::from_seed(&sign_seed);
-    let mut dh_drbg = HmacDrbg::from_seed(&dh_seed);
-    dh_drbg.reseed(b"shef.attest.dh");
-    let dh_key = EciesKeyPair::generate(&mut dh_drbg);
-    Ok((sign_key, dh_key))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shef_attest::{AttestError, AttestationRoot, ManufacturerCa};
     use shef_fpga::keystore::KeyProtection;
     use shef_fpga::spb::seal_firmware;
 
+    const DIE: &[u8] = b"die-boot-test";
+    const KERNEL: &[u8] = b"shef security kernel v1";
+    const ACCEL: &[u8] = b"staged encrypted accelerator";
+
+    fn ca() -> ManufacturerCa {
+        ManufacturerCa::from_seed(b"boot-tests")
+    }
+
+    fn device_cert() -> DeviceCert {
+        ca().certify_device(DIE, &AttestationRoot::from_device_key(&[0x10u8; 32]))
+    }
+
     fn provisioned_board() -> Board {
-        let mut board = Board::new(b"die-boot-test");
+        let mut board = Board::new(DIE);
         let device_aes = [0x10u8; 32];
         board
             .device
             .keystore
             .burn_aes_key(device_aes, KeyProtection::PufWrapped)
             .unwrap();
-        let fw = FirmwarePayload {
-            device_key_seed: [0x20u8; 32],
-        };
         board.boot_medium.store(
             image_names::SPB_FIRMWARE,
-            seal_firmware(&device_aes, &fw.to_bytes()),
+            seal_firmware(&device_aes, &device_cert().to_bytes()),
         );
-        board.boot_medium.store(
-            image_names::SECURITY_KERNEL,
-            b"shef security kernel v1".to_vec(),
-        );
+        board
+            .boot_medium
+            .store(image_names::SECURITY_KERNEL, KERNEL.to_vec());
+        board
+            .boot_medium
+            .store(image_names::ACCELERATOR_BITSTREAM, ACCEL.to_vec());
         board
     }
 
     #[test]
     fn boot_succeeds_on_provisioned_board() {
         let mut board = provisioned_board();
-        let report = secure_boot(&mut board).unwrap();
+        let report = secure_boot(&mut board).unwrap().report().clone();
         assert!(board.device.sk_processor.is_running());
         assert!(board.device.ports.monitors_armed());
-        assert_eq!(
-            report.kernel_hash,
-            Sha256::digest(b"shef security kernel v1")
-        );
+        assert_eq!(report.kernel_hash, Sha256::digest(KERNEL));
+        assert_eq!(report.measurement, deployment_measurement(KERNEL, ACCEL));
     }
 
     #[test]
     fn attestation_key_bound_to_kernel_binary() {
         let mut board = provisioned_board();
-        let report1 = secure_boot(&mut board).unwrap();
+        let report1 = secure_boot(&mut board).unwrap().report().clone();
         // Same device, same kernel → same identity on re-boot.
         board.device.power_cycle();
-        let report2 = secure_boot(&mut board).unwrap();
-        assert_eq!(report1.attest_sign_public, report2.attest_sign_public);
+        let report2 = secure_boot(&mut board).unwrap().report().clone();
+        assert_eq!(report1.ak_public, report2.ak_public);
         // Different kernel → different identity.
         board.device.power_cycle();
         board
             .boot_medium
             .store(image_names::SECURITY_KERNEL, b"EVIL kernel".to_vec());
-        let report3 = secure_boot(&mut board).unwrap();
-        assert_ne!(report1.attest_sign_public, report3.attest_sign_public);
+        let report3 = secure_boot(&mut board).unwrap().report().clone();
+        assert_ne!(report1.ak_public, report3.ak_public);
         assert_ne!(report1.kernel_hash, report3.kernel_hash);
+        assert_ne!(report1.measurement, report3.measurement);
     }
 
     #[test]
     fn sigma_seckrnl_verifies_under_device_key() {
+        // The paper's σ_SecKrnl — the device key's signature over the
+        // kernel measurement and the Attestation Key — is the kernel's
+        // AK certificate, checked under the Manufacturer-certified
+        // device key.
         let mut board = provisioned_board();
-        let report = secure_boot(&mut board).unwrap();
-        let device_public = SigningKey::from_seed(&[0x20u8; 32]).verifying_key();
-        let msg = seckrnl_cert_message(
-            &report.kernel_hash,
-            &report.attest_sign_public,
-            &report.attest_dh_public,
-        );
-        device_public.verify(&msg, &report.sigma_seckrnl).unwrap();
-    }
-
-    #[test]
-    fn kernel_keys_recoverable_from_private_memory() {
-        let mut board = provisioned_board();
-        let report = secure_boot(&mut board).unwrap();
-        let (sign, dh) = kernel_attestation_keys(&mut board).unwrap();
-        assert_eq!(sign.verifying_key(), report.attest_sign_public);
-        assert_eq!(dh.public_key().0, report.attest_dh_public);
+        let kernel = secure_boot(&mut board).unwrap();
+        let ak_cert = kernel.kernel.ak_cert().unwrap();
+        let device_cert = kernel.kernel.device_cert();
+        device_cert.verify(&ca().root_public()).unwrap();
+        ak_cert.verify(&device_cert.device_public).unwrap();
+        assert_eq!(ak_cert.measurement, deployment_measurement(KERNEL, ACCEL));
     }
 
     #[test]
     fn boot_fails_with_wrong_device_key_firmware() {
         let mut board = provisioned_board();
         // Replace firmware with one sealed under a different AES key.
-        let fw = FirmwarePayload {
-            device_key_seed: [0x20u8; 32],
-        };
         board.boot_medium.store(
             image_names::SPB_FIRMWARE,
-            seal_firmware(&[0xEEu8; 32], &fw.to_bytes()),
+            seal_firmware(&[0xEEu8; 32], &device_cert().to_bytes()),
         );
         assert!(secure_boot(&mut board).is_err());
         assert!(!board.device.sk_processor.is_running());
@@ -398,12 +323,9 @@ mod tests {
             .keystore
             .burn_aes_key([0x10u8; 32], KeyProtection::EFuse)
             .unwrap();
-        let fw = FirmwarePayload {
-            device_key_seed: [0x20u8; 32],
-        };
         board.boot_medium.store(
             image_names::SPB_FIRMWARE,
-            seal_firmware(&[0x10u8; 32], &fw.to_bytes()),
+            seal_firmware(&[0x10u8; 32], &device_cert().to_bytes()),
         );
         assert!(matches!(
             secure_boot(&mut board),
@@ -414,8 +336,19 @@ mod tests {
     #[test]
     fn unbooted_board_has_no_attestation_keys() {
         let mut board = provisioned_board();
+        let kernel = secure_boot(&mut board).unwrap();
+        kernel.ensure_running(&board).unwrap();
+        // A power cycle ends the boot, and a new boot does not revive
+        // the old kernel instance.
+        board.device.power_cycle();
         assert!(matches!(
-            kernel_attestation_keys(&mut board),
+            kernel.ensure_running(&board),
+            Err(ShefError::BootFailed(_))
+        ));
+        let again = secure_boot(&mut board).unwrap();
+        again.ensure_running(&board).unwrap();
+        assert!(matches!(
+            kernel.ensure_running(&board),
             Err(ShefError::BootFailed(_))
         ));
     }
@@ -432,11 +365,29 @@ mod tests {
 
     #[test]
     fn firmware_payload_round_trip() {
-        let fw = FirmwarePayload {
-            device_key_seed: [7u8; 32],
-        };
-        let parsed = FirmwarePayload::from_bytes(&fw.to_bytes()).unwrap();
-        assert_eq!(parsed.device_key_seed, fw.device_key_seed);
-        assert!(FirmwarePayload::from_bytes(b"junk").is_err());
+        // The sealed firmware carries the device certificate the
+        // kernel boots with.
+        let mut board = provisioned_board();
+        let kernel = secure_boot(&mut board).unwrap();
+        assert_eq!(kernel.kernel.device_cert(), &device_cert());
+        // A payload that is not a certificate fails the boot, and so
+        // does a genuine certificate for another device.
+        for payload in [
+            b"junk".to_vec(),
+            ca().certify_device(DIE, &AttestationRoot::from_device_key(&[0x99u8; 32]))
+                .to_bytes(),
+        ] {
+            let mut board = provisioned_board();
+            board.boot_medium.store(
+                image_names::SPB_FIRMWARE,
+                seal_firmware(&[0x10u8; 32], &payload),
+            );
+            assert!(matches!(
+                secure_boot(&mut board),
+                Err(ShefError::AttestationFailed(
+                    AttestError::Malformed(_) | AttestError::CertChain(_)
+                ))
+            ));
+        }
     }
 }

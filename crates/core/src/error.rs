@@ -1,5 +1,6 @@
 //! Error types for the ShEF core.
 
+use shef_attest::AttestError;
 use shef_crypto::wire::WireError;
 use shef_crypto::CryptoError;
 use shef_fpga::FpgaError;
@@ -15,8 +16,9 @@ pub enum ShefError {
     Fpga(FpgaError),
     /// A message or image failed to deserialize.
     Malformed(String),
-    /// Attestation failed verification; the reason is for the audit log.
-    AttestationFailed(String),
+    /// The attestation protocol refused: the typed reason from
+    /// `shef_attest` (also reachable through `source()`).
+    AttestationFailed(AttestError),
     /// The Shield detected an integrity violation (spoof/splice/replay).
     IntegrityViolation(String),
     /// An operation required a key that has not been provisioned.
@@ -62,6 +64,7 @@ impl std::error::Error for ShefError {
         match self {
             ShefError::Crypto(e) => Some(e),
             ShefError::Fpga(e) => Some(e),
+            ShefError::AttestationFailed(e) => Some(e),
             _ => None,
         }
     }
@@ -85,9 +88,9 @@ impl From<WireError> for ShefError {
     }
 }
 
-impl From<shef_attest::AttestError> for ShefError {
-    fn from(e: shef_attest::AttestError) -> Self {
-        ShefError::AttestationFailed(e.to_string())
+impl From<AttestError> for ShefError {
+    fn from(e: AttestError) -> Self {
+        ShefError::AttestationFailed(e)
     }
 }
 
@@ -109,17 +112,25 @@ mod tests {
 
     #[test]
     fn wire_errors_surface_as_malformed_in_both_stacks() {
-        use shef_attest::AttestError;
         // One truncated input, one codec error, one message in each
         // stack's `Malformed` variant.
         let err = shef_crypto::wire::Reader::new(&[1]).get_u64().unwrap_err();
         assert_eq!(
-            crate::attest::AttestationReport::from_bytes(&[1]),
-            Err(ShefError::Malformed(err.0.clone()))
+            crate::bitstream::Bitstream::from_bytes(&[1]).unwrap_err(),
+            ShefError::Malformed(err.0.clone())
         );
         assert_eq!(
-            shef_attest::SealedDek::from_bytes(&[1]),
-            Err(AttestError::Malformed(err.0))
+            shef_attest::SealedKey::from_bytes(&[1]),
+            Err(AttestError::Malformed(err.0.clone()))
+        );
+        // An attestation message parsed on the core side keeps its
+        // typed reason.
+        let e: ShefError = shef_attest::BitstreamKeyTicket::from_bytes(&[1])
+            .unwrap_err()
+            .into();
+        assert_eq!(
+            e,
+            ShefError::AttestationFailed(AttestError::Malformed(err.0))
         );
     }
 
@@ -129,5 +140,12 @@ mod tests {
         let e: ShefError = CryptoError::BadSignature.into();
         assert!(e.source().is_some());
         assert!(ShefError::Malformed("x".into()).source().is_none());
+        let e: ShefError = AttestError::UnknownNonce.into();
+        assert_eq!(
+            e.to_string(),
+            "attestation failed: quote nonce was never issued"
+        );
+        let source = e.source().and_then(|s| s.downcast_ref::<AttestError>());
+        assert_eq!(source, Some(&AttestError::UnknownNonce));
     }
 }

@@ -5,10 +5,11 @@
 //! [`shef_fpga`]:
 //!
 //! * [`boot`] — the secure boot chain (§4 "Secure Boot"): BootROM → SPB
-//!   firmware → measured Security Kernel with a device-bound Attestation
-//!   Key.
-//! * [`attest`] — the remote attestation protocol of Fig. 3, three-party
-//!   (Data Owner ↔ IP Vendor ↔ Security Kernel) over untrusted channels.
+//!   firmware → the `shef_attest` Security Kernel, measuring itself and
+//!   the staged accelerator under a device-bound Attestation Key.
+//! * [`attest`] — the kernel's side of Fig. 3: quoting to the IP Vendor
+//!   over untrusted channels and loading the accelerator with the
+//!   Bitstream Key its `shef_attest` ticket releases.
 //! * [`bitstream`] — the partial-bitstream container: accelerator logic,
 //!   Shield configuration and the embedded private Shield Encryption Key,
 //!   sealed under the Bitstream Encryption Key.

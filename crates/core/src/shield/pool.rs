@@ -206,8 +206,12 @@ impl WorkerPool {
                         match job {
                             Ok(job) => {
                                 shared.queued.fetch_sub(1, Ordering::Relaxed);
-                                job();
+                                // Count before running: the job reports
+                                // its completion, and `try_run` may return
+                                // (and `stats` be read) as soon as the
+                                // last one has.
                                 shared.jobs_per_lane[lane].fetch_add(1, Ordering::Relaxed);
+                                job();
                             }
                             // Channel closed: the pool is shutting down.
                             Err(_) => break,

@@ -2,8 +2,9 @@
 //!
 //! * [`Manufacturer`] — fabricates devices, burns keys, runs the CA.
 //! * [`Csp`] — racks boards, loads the Shell, sells instances.
-//! * [`IpVendor`] — develops shielded accelerators, runs the attestation
-//!   service, distributes encrypted bitstreams.
+//! * [`IpVendor`] — develops shielded accelerators, distributes
+//!   encrypted bitstreams, and releases their keys through a
+//!   [`RemoteVerifier`].
 //! * [`DataOwner`] — rents an instance, orchestrates boot + attestation,
 //!   provisions keys and data, runs the accelerator.
 //!
@@ -12,29 +13,28 @@
 
 use std::collections::BTreeMap;
 
-use shef_attest::{DeviceCert, ManufacturerCa, Measurement, MeasurementRegistry};
+use shef_attest::{
+    AttestationRoot, BitstreamKeyTicket, Challenge, DeviceCert, ManufacturerCa, Measurement, Quote,
+    RemoteVerifier,
+};
 use shef_crypto::drbg::HmacDrbg;
-use shef_crypto::ecies::{EciesKeyPair, EciesPublicKey};
-use shef_crypto::ed25519::{SigningKey, VerifyingKey};
+use shef_crypto::ecies::EciesPublicKey;
+use shef_crypto::ed25519::VerifyingKey;
 use shef_fpga::board::{image_names, Board};
 use shef_fpga::keystore::KeyProtection;
 use shef_fpga::spb::seal_firmware;
 
-use crate::attest::{
-    kernel_handle_challenge, kernel_receive_bitstream_key, vendor_seal_bitstream_key,
-    vendor_verify, AttestationChallenge, AttestationResponse, VendorVerification,
-};
 use crate::bitstream::{Bitstream, BitstreamKey, EncryptedBitstream};
-use crate::boot::{secure_boot, BootReport, FirmwarePayload};
+use crate::boot::{deployment_measurement, secure_boot, BootedKernel};
 use crate::shield::{DataEncryptionKey, LoadKey, Shield, ShieldConfig};
 use crate::ShefError;
 
 /// The canonical open-source Security Kernel binary used across the
-/// workspace. Its hash is what the measurement registry publishes.
+/// workspace. Vendors audit it and publish its measurements.
 pub const SECURITY_KERNEL_BINARY: &[u8] = b"shef-security-kernel v1.0 (open source)";
 
 /// The FPGA Manufacturer: provisions devices and operates the root CA
-/// (the same [`ManufacturerCa`] that certifies DEK-release devices).
+/// (a [`ManufacturerCa`]).
 pub struct Manufacturer {
     ca: ManufacturerCa,
     /// The published device directory: die serial → certificate.
@@ -76,28 +76,27 @@ impl Manufacturer {
         self.certs.get(die_serial)
     }
 
-    /// Fig. 2 steps 1–2: burns the AES device key, embeds the private
-    /// device key in AES-sealed firmware, registers the public device
-    /// key with the CA.
+    /// Fig. 2 steps 1–2: burns the AES device key, certifies the
+    /// attestation identity the device derives from it, and ships that
+    /// certificate as the AES-sealed SPB firmware.
     ///
     /// # Errors
     ///
     /// Returns [`ShefError::Fpga`] if the device was already provisioned.
     pub fn provision_device(&mut self, board: &mut Board) -> Result<(), ShefError> {
         let aes_key = self.rng.generate_array::<32>();
-        let device_key_seed = self.rng.generate_array::<32>();
         board
             .device
             .keystore
             .burn_aes_key(aes_key, KeyProtection::PufWrapped)?;
-        let firmware = FirmwarePayload { device_key_seed };
+        let die_serial = board.device.die_serial().to_vec();
+        let cert = self
+            .ca
+            .certify_device(&die_serial, &AttestationRoot::from_device_key(&aes_key));
         board.boot_medium.store(
             image_names::SPB_FIRMWARE,
-            seal_firmware(&aes_key, &firmware.to_bytes()),
+            seal_firmware(&aes_key, &cert.to_bytes()),
         );
-        let die_serial = board.device.die_serial().to_vec();
-        let device_public = SigningKey::from_seed(&device_key_seed).verifying_key();
-        let cert = self.ca.certify_device_key(&die_serial, device_public);
         self.certs.insert(die_serial, cert);
         Ok(())
     }
@@ -150,34 +149,41 @@ pub struct AcceleratorProduct {
     pub shield_public: EciesPublicKey,
 }
 
-/// The IP Vendor: develops accelerators and runs the attestation server.
+/// The IP Vendor: develops accelerators and releases their Bitstream
+/// Keys to attested Security Kernels.
 pub struct IpVendor {
     name: String,
     rng: HmacDrbg,
-    products: Vec<(AcceleratorProduct, BitstreamKey)>,
-    registry: MeasurementRegistry,
-    ca_root: VerifyingKey,
+    verifier: RemoteVerifier,
+    audited_kernels: Vec<Vec<u8>>,
+    /// Deployment measurement → (product, its Bitstream Key).
+    releases: BTreeMap<Measurement, (String, BitstreamKey)>,
 }
 
 impl core::fmt::Debug for IpVendor {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("IpVendor")
             .field("name", &self.name)
-            .field("products", &self.products.len())
+            .field("releases", &self.releases.len())
             .finish_non_exhaustive()
     }
 }
 
 impl IpVendor {
-    /// Creates a vendor trusting the given CA root and kernel registry.
+    /// Creates a vendor trusting the given CA root and the Security
+    /// Kernel binaries it audited (§3: "a public list of ShEF Security
+    /// Kernel … hashes").
     #[must_use]
-    pub fn new(name: &str, ca_root: VerifyingKey, registry: MeasurementRegistry) -> Self {
+    pub fn new(name: &str, ca_root: VerifyingKey, audited_kernels: &[&[u8]]) -> Self {
         IpVendor {
             name: name.to_owned(),
             rng: HmacDrbg::from_seed(format!("shef.vendor.{name}").as_bytes()),
-            products: Vec::new(),
-            registry,
-            ca_root,
+            verifier: RemoteVerifier::from_seed(
+                format!("shef.vendor.{name}.verifier").as_bytes(),
+                ca_root,
+            ),
+            audited_kernels: audited_kernels.iter().map(|k| k.to_vec()).collect(),
+            releases: BTreeMap::new(),
         }
     }
 
@@ -189,7 +195,8 @@ impl IpVendor {
 
     /// Fig. 2 steps 3–4: wraps accelerator logic with a Shield config,
     /// provisions the Shield Encryption Key and Bitstream Encryption
-    /// Key, and publishes the encrypted bitstream.
+    /// Key, and publishes the encrypted bitstream — together with the
+    /// measurement each audited kernel reports when booted with it.
     ///
     /// # Errors
     ///
@@ -214,73 +221,41 @@ impl IpVendor {
             encrypted_bitstream: EncryptedBitstream::seal(&bitstream, &bitstream_key),
             shield_public: bitstream.shield_keypair().public_key(),
         };
-        self.products.push((product.clone(), bitstream_key));
+        for kernel in &self.audited_kernels {
+            let measurement = deployment_measurement(kernel, &product.encrypted_bitstream.0);
+            self.verifier.publish_measurement(measurement);
+            self.releases
+                .insert(measurement, (accel_id.to_owned(), bitstream_key.clone()));
+        }
         Ok(product)
     }
 
-    /// Starts an attestation session: issues a fresh nonce and an
-    /// ephemeral Verification Key (Fig. 3 steps 1–2).
-    #[must_use]
-    pub fn begin_attestation(&mut self) -> (AttestationChallenge, VendorSession) {
-        let nonce = self.rng.generate_array::<32>();
-        let verif = EciesKeyPair::generate(&mut self.rng);
-        (
-            AttestationChallenge {
-                nonce,
-                verif_public: verif.public_key().0,
-            },
-            VendorSession { nonce, verif },
-        )
+    /// Fig. 3 steps 1–2: a fresh challenge for the Security Kernel.
+    pub fn challenge(&mut self) -> Challenge {
+        self.verifier.challenge()
     }
 
-    /// Completes attestation: verifies the kernel's response against the
-    /// device certificate and, on success, returns the Bitstream Key
-    /// sealed for the kernel plus the product's Shield public key
-    /// (Fig. 3 steps 5–7). The session is consumed: each challenge
-    /// releases at most one key.
+    /// Fig. 3 steps 5–6: verifies the kernel's quote and seals the
+    /// Bitstream Key of the product it measured to the attested
+    /// session. Each challenge releases at most one key.
     ///
     /// # Errors
     ///
-    /// * [`ShefError::AttestationFailed`] with the message of the
-    ///   typed [`shef_attest::AttestError`] of the first failed check.
-    /// * [`ShefError::ProtocolViolation`] for unknown products.
-    pub fn complete_attestation(
+    /// [`ShefError::AttestationFailed`] with the typed
+    /// [`shef_attest::AttestError`] of the first failed check;
+    /// [`shef_attest::AttestError::UnknownMeasurement`] when the quoted
+    /// measurement is no audited kernel booted with one of this vendor's
+    /// products.
+    pub fn release_bitstream_key(
         &mut self,
-        session: VendorSession,
-        response: &AttestationResponse,
-        device_cert: &DeviceCert,
-        accel_id: &str,
-    ) -> Result<(shef_crypto::authenc::Sealed, EciesPublicKey), ShefError> {
-        let (product, bitstream_key) = self
-            .products
-            .iter()
-            .find(|(p, _)| p.accel_id == accel_id)
-            .ok_or_else(|| {
-            ShefError::ProtocolViolation(format!("unknown product {accel_id}"))
-        })?;
-        let verification = VendorVerification {
-            ca_root: self.ca_root,
-            device_cert,
-            known_kernels: &self.registry,
-            expected_nonce: session.nonce,
-            verif_key: &session.verif,
-            expected_bitstream_hash: product.encrypted_bitstream.hash(),
+        quote: &Quote,
+    ) -> Result<BitstreamKeyTicket, ShefError> {
+        let Some((accel_id, key)) = self.releases.get(&quote.measurement) else {
+            return Err(
+                shef_attest::AttestError::UnknownMeasurement(quote.measurement.to_hex()).into(),
+            );
         };
-        let mut session_key = vendor_verify(&verification, response)?;
-        let sealed = vendor_seal_bitstream_key(&mut session_key, bitstream_key);
-        Ok((sealed, product.shield_public))
-    }
-}
-
-/// The vendor's per-session ephemeral state.
-pub struct VendorSession {
-    nonce: [u8; 32],
-    verif: EciesKeyPair,
-}
-
-impl core::fmt::Debug for VendorSession {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("VendorSession").finish_non_exhaustive()
+        Ok(self.verifier.verify_and_release(quote, accel_id, key.0)?)
     }
 }
 
@@ -294,8 +269,9 @@ pub struct ProgrammedInstance {
     pub accel_id: String,
     /// Opaque accelerator logic payload from the bitstream.
     pub logic: Vec<u8>,
-    /// The boot report (for audit).
-    pub boot_report: BootReport,
+    /// The Security Kernel of this boot (its report is the audit
+    /// record).
+    pub kernel: BootedKernel,
 }
 
 impl core::fmt::Debug for ProgrammedInstance {
@@ -327,9 +303,10 @@ impl DataOwner {
     }
 
     /// Fig. 2 steps 5–10: rents the board, stages the vendor's encrypted
-    /// bitstream, triggers secure boot, relays attestation between the
-    /// Security Kernel and the IP Vendor, and lets the kernel load the
-    /// accelerator. Returns the programmed instance.
+    /// bitstream, triggers secure boot, relays challenge → quote →
+    /// ticket → redeem between the IP Vendor and the Security Kernel,
+    /// and lets the kernel load the accelerator. Returns the programmed
+    /// instance.
     ///
     /// # Errors
     ///
@@ -339,7 +316,6 @@ impl DataOwner {
         &mut self,
         mut board: Board,
         vendor: &mut IpVendor,
-        manufacturer: &Manufacturer,
         product: &AcceleratorProduct,
     ) -> Result<(ProgrammedInstance, DataEncryptionKey), ShefError> {
         // Stage the encrypted bitstream on the instance.
@@ -347,19 +323,15 @@ impl DataOwner {
             image_names::ACCELERATOR_BITSTREAM,
             product.encrypted_bitstream.0.clone(),
         );
-        // Secure boot.
-        let boot_report = secure_boot(&mut board)?;
-        // Attestation: Data Owner relays messages over untrusted
+        // Secure boot measures the kernel and the staged bitstream.
+        let mut kernel = secure_boot(&mut board)?;
+        // Attestation: the Data Owner relays messages over untrusted
         // channels; contents are signed/sealed end to end.
-        let (challenge, session) = vendor.begin_attestation();
-        let response = kernel_handle_challenge(&mut board, &challenge)?;
-        let device_cert = manufacturer
-            .device_cert(board.device.die_serial())
-            .ok_or_else(|| ShefError::AttestationFailed("device has no certificate".into()))?;
-        let (sealed_key, shield_public) =
-            vendor.complete_attestation(session, &response, device_cert, &product.accel_id)?;
-        // Kernel decrypts + loads the accelerator.
-        let bitstream = kernel_receive_bitstream_key(&mut board, &sealed_key)?;
+        let challenge = vendor.challenge();
+        let quote = kernel.quote(&board, &challenge)?;
+        let ticket = vendor.release_bitstream_key(&quote)?;
+        // Kernel redeems the key, decrypts + loads the accelerator.
+        let bitstream = kernel.load_accelerator(&mut board, &ticket)?;
         if bitstream.accel_id != product.accel_id {
             return Err(ShefError::ProtocolViolation(
                 "bitstream/product mismatch".into(),
@@ -367,17 +339,17 @@ impl DataOwner {
         }
         // Shield comes alive inside the PR region.
         let shield = Shield::new(bitstream.shield_config.clone(), bitstream.shield_keypair())?;
-        debug_assert_eq!(shield.public_key(), shield_public);
+        debug_assert_eq!(shield.public_key(), product.shield_public);
         // Data Owner generates the Data Encryption Key and provisions it
         // through the Load Key.
         let dek = DataEncryptionKey::from_bytes(self.rng.generate_array::<32>());
-        let load_key = dek.to_load_key(&shield_public);
+        let load_key = dek.to_load_key(&product.shield_public);
         let mut instance = ProgrammedInstance {
             board,
             shield,
             accel_id: bitstream.accel_id,
             logic: bitstream.logic,
-            boot_report,
+            kernel,
         };
         instance.shield.provision_load_key(&load_key)?;
         Ok((instance, dek))
@@ -406,7 +378,7 @@ pub struct TestBench {
     pub manufacturer: Manufacturer,
     /// The CSP.
     pub csp: Csp,
-    /// The vendor with the kernel-hash registry.
+    /// The vendor, auditing [`SECURITY_KERNEL_BINARY`].
     pub vendor: IpVendor,
     /// The data owner.
     pub data_owner: DataOwner,
@@ -423,11 +395,11 @@ impl TestBench {
     #[must_use]
     pub fn new(scenario: &str) -> Self {
         let manufacturer = Manufacturer::new(format!("manufacturer.{scenario}").as_bytes());
-        let mut registry = MeasurementRegistry::new();
-        registry.publish(Measurement(shef_crypto::sha2::Sha256::digest(
-            SECURITY_KERNEL_BINARY,
-        )));
-        let vendor = IpVendor::new("acme-accel", manufacturer.ca_root(), registry);
+        let vendor = IpVendor::new(
+            "acme-accel",
+            manufacturer.ca_root(),
+            &[SECURITY_KERNEL_BINARY],
+        );
         TestBench {
             manufacturer,
             csp: Csp::new("aws-f1-shell-v1.4"),
@@ -478,7 +450,7 @@ mod tests {
             .unwrap();
         let (instance, _dek) = bench
             .data_owner
-            .deploy(board, &mut bench.vendor, &bench.manufacturer, &product)
+            .deploy(board, &mut bench.vendor, &product)
             .unwrap();
         assert_eq!(instance.accel_id, "demo");
         assert!(instance.shield.is_provisioned());
@@ -507,7 +479,7 @@ mod tests {
             .unwrap();
         let err = bench
             .data_owner
-            .deploy(board, &mut bench.vendor, &bench.manufacturer, &product)
+            .deploy(board, &mut bench.vendor, &product)
             .unwrap_err();
         // Boot fails at the key store: nothing burned.
         assert!(matches!(err, ShefError::Fpga(_)));
@@ -528,9 +500,12 @@ mod tests {
             .unwrap();
         let err = bench
             .data_owner
-            .deploy(board, &mut bench.vendor, &rogue, &product)
+            .deploy(board, &mut bench.vendor, &product)
             .unwrap_err();
-        assert!(matches!(err, ShefError::AttestationFailed(_)));
+        assert!(matches!(
+            err,
+            ShefError::AttestationFailed(shef_attest::AttestError::CertChain(_))
+        ));
     }
 
     #[test]
@@ -546,6 +521,10 @@ mod tests {
             .unwrap();
         assert_ne!(p1.shield_public, p2.shield_public);
         assert_ne!(p1.encrypted_bitstream.hash(), p2.encrypted_bitstream.hash());
+        // Each product's measurement releases only its own key.
+        assert_eq!(bench.vendor.releases.len(), 2);
+        let m1 = deployment_measurement(SECURITY_KERNEL_BINARY, &p1.encrypted_bitstream.0);
+        assert_eq!(bench.vendor.releases[&m1].0, "p1");
     }
 
     #[test]
@@ -562,7 +541,7 @@ mod tests {
             .unwrap();
         let (mut instance, dek) = bench
             .data_owner
-            .deploy(board, &mut bench.vendor, &bench.manufacturer, &product)
+            .deploy(board, &mut bench.vendor, &product)
             .unwrap();
 
         // Data Owner provisions encrypted input via host DMA.

@@ -1585,8 +1585,8 @@ fn splice_sealed_dek(a: &AttestationTicket, b: &AttestationTicket) -> Option<Att
     // Both sealed DEKs encode to the same length (32-byte DEK + tag), so
     // the host can overwrite A's encoding in place with B's.
     let mut bytes = a.to_bytes();
-    let a_sealed = a.sealed_dek().to_bytes();
-    let b_sealed = b.sealed_dek().to_bytes();
+    let a_sealed = a.sealed_key().to_bytes();
+    let b_sealed = b.sealed_key().to_bytes();
     let off = bytes.windows(a_sealed.len()).position(|w| w == a_sealed)?;
     bytes[off..off + a_sealed.len()].copy_from_slice(&b_sealed);
     AttestationTicket::from_bytes(&bytes).ok()
@@ -1719,7 +1719,7 @@ fn run_attest_plan(plan: &FaultPlan, ev: &FaultEvent) -> ScenarioReport {
             let idx = ev.byte % rogue.len();
             rogue[idx] ^= if ev.flip == 0 { 1 } else { ev.flip };
             env.kernel_mut()
-                .load_shield_bitstream(shef_attest::env::BITSTREAM_LABEL, &rogue);
+                .measure(shef_attest::env::BITSTREAM_LABEL, &rogue);
             let challenge = env.verifier_mut().challenge();
             let quote = match env.kernel_mut().quote(&challenge) {
                 Ok(q) => q,

@@ -33,10 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let product = bench
         .vendor
         .package_accelerator("target", config, vec![0xAC; 256])?;
-    let (mut instance, dek) =
-        bench
-            .data_owner
-            .deploy(board, &mut bench.vendor, &bench.manufacturer, &product)?;
+    let (mut instance, dek) = bench
+        .data_owner
+        .deploy(board, &mut bench.vendor, &product)?;
     let region = instance.shield.config().regions[0].clone();
     let tag_base = instance.shield.config().tag_base(0);
     let mut ledger = CostLedger::new();

@@ -2,29 +2,32 @@
 //!
 //! The quickstart drives the whole lifecycle through one `deploy()`
 //! call; this example opens the hood and performs each protocol step of
-//! Fig. 3 by hand, printing every value that crosses the untrusted host:
+//! Fig. 3 by hand, printing every value that crosses the untrusted host.
+//! The IP Vendor's key release is `shef_attest`'s protocol with its
+//! Bitstream-Key ticket kind:
 //!
 //! 1. TLS-equivalent channel setup (modelled; contents are end-to-end
 //!    protected regardless).
-//! 2. Vendor → Kernel: nonce `n` + ephemeral Verification Key.
-//! 3. Kernel: hashes the staged encrypted bitstream, derives the
-//!    SessionKey, signs it (σ_SessionKey).
-//! 4. Kernel → Vendor: report α = (n, H(Enc(Accel)), AttestKey_pub,
-//!    H(SecKrnl), σ_SecKrnl), plus σ_α and σ_SessionKey.
-//! 5. Vendor: verifies σ_SecKrnl against the Manufacturer CA, checks
-//!    H(SecKrnl) against the public kernel registry, checks the nonce,
-//!    the bitstream hash, σ_α, and σ_SessionKey.
-//! 6. Vendor → Kernel: Enc_SessionKey(BitstrKey).
+//! 2. Vendor → Kernel: challenge = nonce `n` + ephemeral key-exchange
+//!    key.
+//! 3. Kernel: measured its own binary and the staged encrypted
+//!    bitstream at boot; its Attestation Key is HKDF(root ‖ measurement).
+//! 4. Kernel → Vendor: quote = (measurement, n, device certificate,
+//!    AK certificate — the paper's σ_SecKrnl) signed by the AK (σ_α).
+//! 5. Vendor: checks n, the device certificate against the
+//!    Manufacturer CA, the AK certificate, σ_α, and the measurement
+//!    against its registry of audited kernel × product measurements.
+//! 6. Vendor → Kernel: ticket carrying AES-GCM_session(BitstrKey); the
+//!    kernel redeems it and loads the accelerator it measured.
 //! 7. Shield Encryption Key → Data Owner; Load Key → Shield.
 //!
-//! It then demonstrates the negative paths: a replayed response, a
-//! tampered report, and a kernel hash missing from a vendor's registry
-//! are all rejected, each against a fresh vendor session.
+//! It then demonstrates the negative paths: a replayed quote, a tampered
+//! quote, and a kernel no vendor audited are all refused, each with its
+//! typed reason.
 //!
 //! Run with: `cargo run --release --example attestation_flow`
 
-use shef::attest::MeasurementRegistry;
-use shef::core::attest::{kernel_handle_challenge, kernel_receive_bitstream_key};
+use shef::attest::AttestError;
 use shef::core::boot::secure_boot;
 use shef::core::shield::{EngineSetConfig, MemRange, Shield, ShieldConfig};
 use shef::core::workflow::{IpVendor, TestBench};
@@ -36,9 +39,12 @@ fn hex8(bytes: &[u8]) -> String {
     format!("{}…", &to_hex(bytes)[..16])
 }
 
-/// True if the vendor refused with an attestation error naming `why`.
-fn rejected<T>(result: Result<T, ShefError>, why: &str) -> bool {
-    matches!(result, Err(ShefError::AttestationFailed(m)) if m.contains(why))
+/// The typed reason the vendor refused, if it refused.
+fn refusal<T>(result: Result<T, ShefError>) -> Option<AttestError> {
+    match result {
+        Err(ShefError::AttestationFailed(e)) => Some(e),
+        _ => None,
+    }
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -64,10 +70,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         product.encrypted_bitstream.0.clone(),
     );
 
-    // Secure boot must precede attestation: it provisions the
-    // Attestation Key pair bound to (device key, H(SecKrnl)).
-    let report = secure_boot(&mut board)?;
+    // Secure boot must precede attestation: the kernel measures itself
+    // and the staged bitstream, and derives its Attestation Key.
+    let mut kernel = secure_boot(&mut board)?;
+    let report = kernel.report();
     println!("[boot]    H(SecKrnl)      = {}", hex8(&report.kernel_hash));
+    println!(
+        "[boot]    measurement     = {}",
+        hex8(&report.measurement.0)
+    );
     println!(
         "[boot]    boot time       = {:.1} ms (model)",
         report.timing.total_ms()
@@ -75,63 +86,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     // ---- Fig. 3 steps 1–2: challenge.
-    let (challenge, session) = bench.vendor.begin_attestation();
+    let challenge = bench.vendor.challenge();
     println!("[vendor]  n               = {}", hex8(&challenge.nonce));
     println!(
         "[vendor]  VerifKey_pub    = {}",
-        hex8(&challenge.verif_public)
+        hex8(&challenge.verifier_kem)
     );
 
-    // ---- Steps 3–4: the kernel builds and signs the report. Everything
-    // below travels through the untrusted host program.
-    let response = kernel_handle_challenge(&mut board, &challenge)?;
+    // ---- Steps 3–4: the kernel signs a quote. Everything below
+    // travels through the untrusted host program.
+    let quote = kernel.quote(&board, &challenge)?;
+    println!("[kernel]  quote.nonce     = {}", hex8(&quote.nonce));
+    println!("[kernel]  measurement     = {}", hex8(&quote.measurement.0));
+    println!("[kernel]  AttestKey_pub   = {}", hex8(&quote.ak_public.0));
     println!(
-        "[kernel]  α.nonce         = {}",
-        hex8(&response.report.nonce)
-    );
-    println!(
-        "[kernel]  α.H(Enc(Accel)) = {}",
-        hex8(&response.report.enc_bitstream_hash)
-    );
-    println!(
-        "[kernel]  α.AttestKey_pub = {}",
-        hex8(&response.report.attest_sign_public.0)
-    );
-    println!(
-        "[kernel]  α.H(SecKrnl)    = {}",
-        hex8(&response.report.kernel_hash)
+        "[kernel]  device cert     = die {}",
+        String::from_utf8_lossy(&quote.device_cert.die_serial)
     );
     println!(
         "[kernel]  σ_SecKrnl       = {}",
-        hex8(&response.report.sigma_seckrnl.0)
+        hex8(&quote.ak_cert.signature.0)
     );
-    println!(
-        "[kernel]  σ_α             = {}",
-        hex8(&response.sigma_alpha.0)
-    );
-    println!(
-        "[kernel]  σ_SessionKey    = {}",
-        hex8(&response.sigma_session.0)
-    );
+    println!("[kernel]  σ_α             = {}", hex8(&quote.signature.0));
 
-    // ---- Steps 5–6: vendor-side verification chain.
-    let device_cert = bench
-        .manufacturer
-        .device_cert(board.device.die_serial())
-        .expect("manufacturer registered the device at production time");
-    let (sealed_bitstream_key, shield_public) =
-        bench
-            .vendor
-            .complete_attestation(session, &response, device_cert, &product.accel_id)?;
+    // ---- Steps 5–6: vendor-side verification and sealed release.
+    let ticket = bench.vendor.release_bitstream_key(&quote)?;
     println!();
-    println!("[vendor]  device cert ✓  kernel registry ✓  nonce ✓  bitstream hash ✓");
+    println!("[vendor]  nonce ✓  device cert ✓  σ_SecKrnl ✓  σ_α ✓  measurement ✓");
     println!(
-        "[vendor]  Enc_Session(BitstrKey) = {} bytes",
-        sealed_bitstream_key.to_bytes().len()
+        "[vendor]  ticket for '{}': sealed BitstrKey = {} bytes",
+        ticket.subject(),
+        ticket.sealed_key().to_bytes().len()
     );
 
-    // ---- Step 6 (kernel side): decrypt + load the accelerator.
-    let bitstream = kernel_receive_bitstream_key(&mut board, &sealed_bitstream_key)?;
+    // ---- Step 6 (kernel side): redeem, decrypt + load the accelerator.
+    let bitstream = kernel.load_accelerator(&mut board, &ticket)?;
     println!(
         "[kernel]  bitstream '{}' decrypted and loaded into PR region",
         bitstream.accel_id
@@ -139,50 +128,40 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Steps 7–8: Shield Encryption Key → Load Key → Shield.
     let mut shield = Shield::new(bitstream.shield_config.clone(), bitstream.shield_keypair())?;
-    assert_eq!(shield.public_key(), shield_public);
+    assert_eq!(shield.public_key(), product.shield_public);
     let dek = bench.data_owner.generate_data_key();
-    let load_key = bench.data_owner.build_load_key(&dek, &shield_public);
+    let load_key = bench
+        .data_owner
+        .build_load_key(&dek, &product.shield_public);
     shield.provision_load_key(&load_key)?;
     println!("[owner]   LoadKey accepted; Shield provisioned ✓");
     println!();
 
-    // ---- Negative paths: what the protocol must reject. Each runs
-    // against a fresh vendor session: the one above released its key.
-    // (a) Replay: an old response against a fresh challenge fails the
-    //     nonce check.
-    let (_, fresh_session) = bench.vendor.begin_attestation();
-    let replay =
-        bench
-            .vendor
-            .complete_attestation(fresh_session, &response, device_cert, &product.accel_id);
-    assert!(rejected(replay, "nonce"));
-    println!("[vendor]  replayed response     → rejected ✓ (stale nonce)");
+    // ---- Negative paths: what the protocol must refuse.
+    // (a) Replay: the consumed quote again.
+    let replay = bench.vendor.release_bitstream_key(&quote);
+    assert_eq!(refusal(replay), Some(AttestError::ReplayedNonce));
+    println!("[vendor]  replayed quote        → refused ✓ (nonce already consumed)");
 
-    // (b) Tampered report: flipping a bit in H(Enc(Accel)) breaks σ_α.
-    let mut tampered = response.clone();
-    tampered.report.enc_bitstream_hash[0] ^= 1;
-    let (_, fresh_session) = bench.vendor.begin_attestation();
-    let bad =
-        bench
-            .vendor
-            .complete_attestation(fresh_session, &tampered, device_cert, &product.accel_id);
-    assert!(rejected(bad, "σ_α"));
-    println!("[vendor]  tampered α            → rejected ✓ (σ_α invalid)");
+    // (b) Tampered quote: one flipped bit in σ_α, on a fresh challenge.
+    let fresh = bench.vendor.challenge();
+    let mut tampered = kernel.quote(&board, &fresh)?;
+    tampered.signature.0[0] ^= 1;
+    let bad = bench.vendor.release_bitstream_key(&tampered);
+    assert!(matches!(refusal(bad), Some(AttestError::BadSignature(_))));
+    println!("[vendor]  tampered quote        → refused ✓ (σ_α invalid)");
 
-    // (c) Unknown kernel: a genuine response, but to a vendor whose
-    //     public registry does not list this H(SecKrnl). Every
-    //     signature verifies; the registry lookup refuses.
-    let mut paranoid = IpVendor::new(
-        "paranoid",
-        bench.manufacturer.ca_root(),
-        MeasurementRegistry::new(),
-    );
+    // (c) Unknown kernel: a genuine quote, but to a vendor that audited
+    //     no Security Kernel, so no measurement is in its registry.
+    let mut paranoid = IpVendor::new("paranoid", bench.manufacturer.ca_root(), &[]);
     paranoid.package_accelerator(&product.accel_id, config, b"<netlist>".to_vec())?;
-    let (challenge, session) = paranoid.begin_attestation();
-    let genuine = kernel_handle_challenge(&mut board, &challenge)?;
-    let miss = paranoid.complete_attestation(session, &genuine, device_cert, &product.accel_id);
-    assert!(rejected(miss, "registry"));
-    println!("[vendor]  unregistered kernel   → rejected ✓ (registry miss)");
+    let genuine = kernel.quote(&board, &paranoid.challenge())?;
+    let miss = paranoid.release_bitstream_key(&genuine);
+    assert!(matches!(
+        refusal(miss),
+        Some(AttestError::UnknownMeasurement(_))
+    ));
+    println!("[vendor]  unaudited kernel      → refused ✓ (measurement not in registry)");
 
     println!();
     println!("attestation flow complete: positive path ✓ three negative paths ✓");

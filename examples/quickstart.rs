@@ -4,14 +4,16 @@
 //! data on a cloud FPGA none of them fully trusts:
 //!
 //! 1–2. The **Manufacturer** burns the AES device key and ships
-//!      encrypted SPB firmware carrying the private device key.
+//!      encrypted SPB firmware carrying the device's certificate.
 //! 3–4. The **IP Vendor** wraps an accelerator in a Shield and
 //!      publishes the encrypted bitstream.
 //! 5–7. The **Data Owner** rents an instance from the **CSP** and
-//!      triggers secure boot.
-//! 8–9. Remote attestation proves the device + Security Kernel, and the
-//!      Bitstream Key flows over the attested session; the kernel loads
-//!      the accelerator.
+//!      triggers secure boot; the Security Kernel measures itself and
+//!      the staged bitstream.
+//! 8–9. Remote attestation (challenge → quote → ticket → redeem) proves
+//!      the device, kernel and bitstream to the IP Vendor, whose ticket
+//!      releases the Bitstream Key to the kernel; the kernel loads the
+//!      accelerator.
 //! 10–11. The Data Owner provisions the Data Encryption Key via a Load
 //!      Key and streams encrypted data through the Shield.
 //!
@@ -63,14 +65,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Steps 6–10: boot, attest, load, provision — one call on the
     //      Data Owner, with every check the paper requires inside.
-    let (mut instance, dek) =
-        bench
-            .data_owner
-            .deploy(board, &mut bench.vendor, &bench.manufacturer, &product)?;
+    let (mut instance, dek) = bench
+        .data_owner
+        .deploy(board, &mut bench.vendor, &product)?;
     println!(
         "[data owner]   attested and deployed '{}' (boot took {:.1} s in the paper's model)",
         instance.accel_id,
-        instance.boot_report.timing.total_ms() / 1000.0
+        instance.kernel.report().timing.total_ms() / 1000.0
     );
 
     // ---- Step 11: encrypted data in, encrypted results out.

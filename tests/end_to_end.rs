@@ -4,6 +4,8 @@
 use shef::accel::harness::{run_baseline, run_shielded_parallel};
 use shef::accel::vecadd::VectorAdd;
 use shef::accel::{Accelerator, CryptoProfile};
+use shef::attest::AttestError;
+use shef::core::boot::secure_boot;
 use shef::core::shield::WorkerPool;
 use shef::core::shield::{client, AccessMode, EngineSetConfig, MemRange, ShieldConfig};
 use shef::core::workflow::{Manufacturer, TestBench};
@@ -36,7 +38,7 @@ fn full_lifecycle_with_data_round_trip() {
         .unwrap();
     let (mut instance, dek) = bench
         .data_owner
-        .deploy(board, &mut bench.vendor, &bench.manufacturer, &product)
+        .deploy(board, &mut bench.vendor, &product)
         .unwrap();
 
     // Data Owner round-trips data through the shielded instance.
@@ -83,14 +85,15 @@ fn two_devices_have_distinct_attestation_identities() {
         .unwrap();
     let (instance_a, _) = bench
         .data_owner
-        .deploy(board_a, &mut bench.vendor, &bench.manufacturer, &product)
+        .deploy(board_a, &mut bench.vendor, &product)
         .unwrap();
     let (instance_b, _) = bench
         .data_owner
-        .deploy(board_b, &mut bench.vendor, &bench.manufacturer, &product)
+        .deploy(board_b, &mut bench.vendor, &product)
         .unwrap();
     assert_ne!(
-        instance_a.boot_report.attest_sign_public, instance_b.boot_report.attest_sign_public,
+        instance_a.kernel.report().ak_public,
+        instance_b.kernel.report().ak_public,
         "attestation keys must be device-unique"
     );
 }
@@ -108,23 +111,22 @@ fn tampered_staged_bitstream_fails_attestation() {
     evil.encrypted_bitstream.0[10] ^= 0xFF;
     let err = bench
         .data_owner
-        .deploy(board, &mut bench.vendor, &bench.manufacturer, &evil)
+        .deploy(board, &mut bench.vendor, &evil)
         .unwrap_err();
-    assert!(matches!(err, ShefError::AttestationFailed(_)));
+    // The kernel measured the swapped bytes: no audited measurement.
+    assert!(matches!(
+        err,
+        ShefError::AttestationFailed(AttestError::UnknownMeasurement(_))
+    ));
 }
 
 #[test]
 fn unknown_kernel_is_rejected_by_vendor() {
-    use shef::attest::MeasurementRegistry;
     use shef::core::workflow::{Csp, DataOwner, IpVendor};
 
     let mut manufacturer = Manufacturer::new(b"it-maker");
-    // Vendor with an empty registry: no kernel is trusted.
-    let mut vendor = IpVendor::new(
-        "paranoid",
-        manufacturer.ca_root(),
-        MeasurementRegistry::new(),
-    );
+    // Vendor that audited no kernel: no measurement is trusted.
+    let mut vendor = IpVendor::new("paranoid", manufacturer.ca_root(), &[]);
     let csp = Csp::new("shell-v1");
     let mut owner = DataOwner::new(b"it-owner");
     let mut board = Board::new(b"it-die-3");
@@ -133,10 +135,11 @@ fn unknown_kernel_is_rejected_by_vendor() {
     let product = vendor
         .package_accelerator("k-accel", simple_config(), vec![])
         .unwrap();
-    let err = owner
-        .deploy(board, &mut vendor, &manufacturer, &product)
-        .unwrap_err();
-    assert!(matches!(err, ShefError::AttestationFailed(m) if m.contains("registry")));
+    let err = owner.deploy(board, &mut vendor, &product).unwrap_err();
+    assert!(matches!(
+        err,
+        ShefError::AttestationFailed(AttestError::UnknownMeasurement(_))
+    ));
 }
 
 #[test]
@@ -222,10 +225,43 @@ fn power_cycle_requires_fresh_boot() {
         .unwrap();
     let (mut instance, _) = bench
         .data_owner
-        .deploy(board, &mut bench.vendor, &bench.manufacturer, &product)
+        .deploy(board, &mut bench.vendor, &product)
         .unwrap();
+    // An attestation round left open across the power cycle.
+    let challenge = bench.vendor.challenge();
+    let quote = instance.kernel.quote(&instance.board, &challenge).unwrap();
+    let ticket = bench.vendor.release_bitstream_key(&quote).unwrap();
+
     instance.board.device.power_cycle();
     assert!(!instance.board.device.sk_processor.is_running());
-    // The kernel's attestation keys were erased with it.
-    assert!(shef::core::boot::kernel_attestation_keys(&mut instance.board).is_err());
+    // The kernel died with the boot: it can neither quote nor redeem.
+    let challenge = bench.vendor.challenge();
+    assert!(matches!(
+        instance.kernel.quote(&instance.board, &challenge),
+        Err(ShefError::BootFailed(_))
+    ));
+    assert!(matches!(
+        instance
+            .kernel
+            .load_accelerator(&mut instance.board, &ticket),
+        Err(ShefError::BootFailed(_))
+    ));
+
+    // A fresh secure boot brings up a new kernel that attests again;
+    // the old one stays dead.
+    let mut rebooted = secure_boot(&mut instance.board).unwrap();
+    let quote = rebooted.quote(&instance.board, &challenge).unwrap();
+    let ticket = bench.vendor.release_bitstream_key(&quote).unwrap();
+    assert!(matches!(
+        instance
+            .kernel
+            .load_accelerator(&mut instance.board, &ticket),
+        Err(ShefError::BootFailed(_))
+    ));
+    // The power cycle also cleared the Shell; the CSP reloads it.
+    bench.csp.rack_board(&mut instance.board).unwrap();
+    let bitstream = rebooted
+        .load_accelerator(&mut instance.board, &ticket)
+        .unwrap();
+    assert_eq!(bitstream.accel_id, "pc-accel");
 }

@@ -352,7 +352,7 @@ fn merkle_config_survives_the_full_vendor_pipeline() {
         .expect("package");
     let (mut instance, _dek) = bench
         .data_owner
-        .deploy(board, &mut bench.vendor, &bench.manufacturer, &product)
+        .deploy(board, &mut bench.vendor, &product)
         .expect("deploy");
     assert_eq!(
         instance.shield.config().regions[0].engine_set.merkle,

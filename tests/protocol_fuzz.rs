@@ -7,23 +7,34 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use shef::attest::{
-    AkCert, AttestationEnvironment, AttestationRoot, AttestationTicket, DeviceCert, ManufacturerCa,
-    Quote, SealedDek,
+    AkCert, AttestationEnvironment, AttestationRoot, AttestationTicket, BitstreamKeyTicket,
+    DeviceCert, ManufacturerCa, Quote, SealedKey,
 };
-use shef::core::attest::AttestationReport;
 use shef::core::bitstream::{Bitstream, BitstreamKey, EncryptedBitstream};
+use shef::core::boot::secure_boot;
 use shef::core::shield::{EngineSetConfig, LoadKey, MemRange, ShieldConfig};
-use shef::crypto::ed25519::{Signature, VerifyingKey};
+use shef::core::workflow::TestBench;
+use shef::fpga::board::image_names;
 
-fn sample_report() -> AttestationReport {
-    AttestationReport {
-        nonce: [1u8; 32],
-        enc_bitstream_hash: [2u8; 32],
-        attest_sign_public: VerifyingKey([3u8; 32]),
-        attest_dh_public: [4u8; 32],
-        kernel_hash: [5u8; 32],
-        sigma_seckrnl: Signature([6u8; 64]),
-    }
+/// The attestation report a booted Security Kernel sends its IP Vendor
+/// (a quote over the kernel and the staged bitstream), built once.
+fn kernel_report() -> &'static Quote {
+    static REPORT: OnceLock<Quote> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        let mut bench = TestBench::new("protocol-fuzz");
+        let mut board = bench.fresh_board(b"die-fuzz").unwrap();
+        let product = bench
+            .vendor
+            .package_accelerator("fuzz", sample_bitstream().shield_config, vec![1, 2, 3])
+            .unwrap();
+        board.boot_medium.store(
+            image_names::ACCELERATOR_BITSTREAM,
+            product.encrypted_bitstream.0.clone(),
+        );
+        let mut kernel = secure_boot(&mut board).unwrap();
+        let challenge = bench.vendor.challenge();
+        kernel.quote(&board, &challenge).unwrap()
+    })
 }
 
 fn sample_bitstream() -> Bitstream {
@@ -38,9 +49,10 @@ fn sample_bitstream() -> Bitstream {
     }
 }
 
-/// Honest attestation messages (quote, ticket, sealed DEK), built once.
-fn honest_messages() -> &'static [Vec<u8>; 3] {
-    static MESSAGES: OnceLock<[Vec<u8>; 3]> = OnceLock::new();
+/// Honest attestation messages (quote, DEK ticket, sealed key,
+/// Bitstream-Key ticket), built once.
+fn honest_messages() -> &'static [Vec<u8>; 4] {
+    static MESSAGES: OnceLock<[Vec<u8>; 4]> = OnceLock::new();
     MESSAGES.get_or_init(|| {
         let mut env = AttestationEnvironment::new(b"protocol-fuzz").unwrap();
         let challenge = env.verifier_mut().challenge();
@@ -49,29 +61,40 @@ fn honest_messages() -> &'static [Vec<u8>; 3] {
             .verifier_mut()
             .verify_and_provision(&quote, "fuzz-tenant", [0x5Au8; 32])
             .unwrap();
+        let challenge = env.verifier_mut().challenge();
+        let quote_bk = env.kernel_mut().quote(&challenge).unwrap();
+        let bk_ticket = env
+            .verifier_mut()
+            .verify_and_release(&quote_bk, "fuzz-accel", [0xA5u8; 32])
+            .unwrap();
         [
             quote.to_bytes(),
             ticket.to_bytes(),
-            ticket.sealed_dek().to_bytes(),
+            ticket.sealed_key().to_bytes(),
+            bk_ticket.to_bytes(),
         ]
     })
 }
 
-/// Parses `bytes` as message kind `kind` (0 quote, 1 ticket, 2 sealed
-/// DEK) and re-encodes it: `None` if the parse failed.
+/// Parses `bytes` as message kind `kind` (0 quote, 1 DEK ticket, 2
+/// sealed key, 3 Bitstream-Key ticket) and re-encodes it: `None` if
+/// the parse failed.
 fn reparse(kind: usize, bytes: &[u8]) -> Option<Vec<u8>> {
     match kind {
         0 => Quote::from_bytes(bytes).ok().map(|m| m.to_bytes()),
         1 => AttestationTicket::from_bytes(bytes)
             .ok()
             .map(|m| m.to_bytes()),
-        _ => SealedDek::from_bytes(bytes).ok().map(|m| m.to_bytes()),
+        2 => SealedKey::from_bytes(bytes).ok().map(|m| m.to_bytes()),
+        _ => BitstreamKeyTicket::from_bytes(bytes)
+            .ok()
+            .map(|m| m.to_bytes()),
     }
 }
 
 proptest! {
     #[test]
-    fn truncated_attestation_messages_are_rejected(kind in 0usize..3, cut in any::<u16>()) {
+    fn truncated_attestation_messages_are_rejected(kind in 0usize..4, cut in any::<u16>()) {
         let bytes = &honest_messages()[kind];
         let cut = cut as usize % bytes.len();
         prop_assert!(reparse(kind, &bytes[..cut]).is_none(), "truncation at {} parsed", cut);
@@ -83,7 +106,7 @@ proptest! {
 
     #[test]
     fn bit_flipped_attestation_messages_never_roundtrip(
-        kind in 0usize..3,
+        kind in 0usize..4,
         pos in any::<u16>(),
         bit in 0u8..8,
     ) {
@@ -102,7 +125,7 @@ proptest! {
 
     #[test]
     fn random_bytes_never_parse_as_attestation_messages(
-        kind in 0usize..3,
+        kind in 0usize..4,
         bytes in proptest::collection::vec(any::<u8>(), 0..600),
     ) {
         // Parsing is total; anything that does parse is canonical.
@@ -112,25 +135,28 @@ proptest! {
     }
 
     #[test]
-    fn corrupted_reports_never_panic_or_roundtrip(idx in 0usize..220, xor in 1u8..=255) {
-        let bytes = sample_report().to_bytes();
-        prop_assume!(idx < bytes.len());
-        let mut corrupted = bytes.clone();
+    fn corrupted_reports_never_panic_or_roundtrip(pos in any::<u16>(), xor in 1u8..=255) {
+        let report = kernel_report();
+        let mut corrupted = report.to_bytes();
+        let idx = pos as usize % corrupted.len();
         corrupted[idx] ^= xor;
-        match AttestationReport::from_bytes(&corrupted) {
+        match Quote::from_bytes(&corrupted) {
             // Either it fails to parse…
             Err(_) => {}
-            // …or it parses to a *different* report (the signature check
-            // upstream then rejects it). It must never equal the original.
-            Ok(parsed) => prop_assert_ne!(parsed, sample_report()),
+            // …or it parses to a *different* report whose signature no
+            // longer verifies. It must never equal the original.
+            Ok(parsed) => {
+                prop_assert_ne!(&parsed, report);
+                prop_assert!(parsed.verify_signature().is_err());
+            }
         }
     }
 
     #[test]
-    fn truncated_reports_are_rejected(cut in 0usize..220) {
-        let bytes = sample_report().to_bytes();
-        prop_assume!(cut < bytes.len());
-        prop_assert!(AttestationReport::from_bytes(&bytes[..cut]).is_err());
+    fn truncated_reports_are_rejected(cut in any::<u16>()) {
+        let bytes = kernel_report().to_bytes();
+        let cut = cut as usize % bytes.len();
+        prop_assert!(Quote::from_bytes(&bytes[..cut]).is_err());
     }
 
     #[test]
